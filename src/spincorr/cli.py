@@ -20,18 +20,21 @@ from dataclasses import dataclass
 from . import __version__
 from .harness import (
     CHANNEL_OUTCOMES,
+    SettingSeries,
     canonical_settings,
     estimate_correlation,
     run_chsh,
+    run_hv_sweep,
     run_series,
     run_transfer_baseline,
     run_transfer_series,
 )
-from .hidden import single_electron_correlation, singlet_correlation_analytic
+from .hidden import _check_separation, single_electron_correlation, singlet_correlation_analytic
 from .quantum import BlochDirection, correlation_exact, decompose_eigenbasis, decompose_intermediate
-from .streams import substream
 
 PAIR_LABELS = ("ab", "ab_prime", "a_prime_b", "a_prime_b_prime")
+
+MAX_GRID_POINTS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -249,22 +252,20 @@ def cmd_sweep(config: RunConfig) -> Report:
     meta["mode"] = mode
     meta["grid"] = config.grid_text
 
+    settings = [(BlochDirection(0.0), BlochDirection(theta)) for theta in config.grid]
+    # The single spin is sampled at the grid angle, the pair at its axes' separation.
+    separations = config.grid if config.single_electron else [a.angle_to(b) for a, b in settings]
+    tallies = run_hv_sweep(separations, config.n, config.seed, workers=config.workers)
+
     rows = []
-    for i, theta in enumerate(config.grid):
+    for theta, (a, b), counts in zip(config.grid, settings, tallies):
+        estimate, std_error = estimate_correlation(SettingSeries(a=a, b=b, counts=counts))
+        # Flipped region signs negate the estimate; 0.0 - x keeps a zero unsigned.
         if config.single_electron:
-            exact = math.cos(theta)
-            analytic = single_electron_correlation(theta, "analytic")
-            sampled = single_electron_correlation(
-                theta, "sampled", config.n, substream(config.seed, stream=i)
-            )
-            std_error = math.sqrt(max(0.0, 1.0 - sampled**2) / config.n)
+            curves = (math.cos(theta), single_electron_correlation(theta, "analytic"), 0.0 - estimate)
         else:
-            a, b = BlochDirection(0.0), BlochDirection(theta)
-            exact = correlation_exact(a, b)
-            analytic = singlet_correlation_analytic(theta)
-            series = run_series(a, b, config.n, "hv", config.seed, stream=i, workers=config.workers)
-            sampled, std_error = estimate_correlation(series)
-        rows.append((theta, exact, analytic, sampled, std_error))
+            curves = (correlation_exact(a, b), singlet_correlation_analytic(theta), estimate)
+        rows.append((theta, *curves, std_error))
     columns = ("theta_ab", "exact", "hv_analytic", "hv_sampled", "stderr")
     return Report(metadata=meta, columns=columns, rows=tuple(rows))
 
@@ -360,22 +361,23 @@ def _parse_grid(text: str, conv: float) -> tuple[float, ...]:
         start, stop, step = (float(part) for part in parts)
     except ValueError:
         raise ValueError(f"--grid expects numbers, got {text!r}") from None
-    if step <= 0 or stop < start:
-        raise ValueError("--grid needs step > 0 and stop >= start")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
-    values = tuple((start + k * step) * conv for k in range(count))
+    _check_separation(start * conv)
+    _check_separation(stop * conv)
+    if not 0.0 < step < math.inf or stop < start:
+        raise ValueError("--grid needs a finite step > 0 and stop >= start")
+    points = (stop - start) / step + 1e-9
+    if points >= MAX_GRID_POINTS:
+        raise ValueError(f"--grid lists more than {MAX_GRID_POINTS} points")
+    values = tuple((start + k * step) * conv for k in range(int(math.floor(points)) + 1))
     for theta in values:
         _check_separation(theta)
     return values
 
 
-def _check_separation(theta: float) -> float:
-    if not 0.0 <= theta <= math.pi:
-        raise ValueError("separation angles must lie in [0, pi] (0 to 180 degrees)")
-    return theta
-
-
 def config_from_args(args: argparse.Namespace) -> RunConfig:
+    for flag, value in (("--n", args.n), ("--workers", args.workers)):
+        if value < 1:
+            raise ValueError(f"{flag} must be at least 1")
     unit = "deg" if args.deg else "rad"
     conv = math.pi / 180.0 if unit == "deg" else 1.0
 

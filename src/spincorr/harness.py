@@ -3,22 +3,25 @@ CHSH runs over four setting pairs, and a transferable-outcomes baseline.
 
 Each series draws fresh randomness for its own setting pair; nothing is
 carried over between pairs except in the transfer baseline, which is the
-point of that model.  Randomness is keyed by (seed, stream, trial index)
-through counter-based generators, so results are bit-identical for a given
-seed and configuration no matter how trials are chunked across workers.
+point of that model.  One trial runner serves every sampled model: it draws
+fixed-size chunks of trials from counter-based generators keyed by (seed,
+stream), so results are bit-identical for a given seed and configuration at
+any worker count, and memory does not grow with the number of trials.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .hidden import sample_singlet_batch
+from .hidden import _check_separation, sample_singlet_batch
 from .quantum import CHANNEL_EIGENVALUES, BlochDirection, channel_weights, correlation_exact
-from .streams import chunk_bounds, substream
+from .streams import substream
 
 CHANNEL_OUTCOMES = ((1, -1), (-1, 1), (1, 1), (-1, -1))
 
@@ -27,7 +30,8 @@ CHSH_SIGNS = (1, -1, 1, 1)
 SERIES_MODELS = ("hv", "quantum-sampler")
 CHSH_MODELS = ("hv", "quantum-sampler", "quantum-exact")
 
-_DRAWS_PER_TRIAL = {"hv": 2, "quantum-sampler": 1, "transfer": 2}
+# Trials per work item; a multiple of streams.BLOCK_DRAWS, so chunks start on a generator block.
+CHUNK_TRIALS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -102,12 +106,51 @@ def _bin_channels(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
     return np.bincount(idx, minlength=4)
 
 
-def _map_chunks(n: int, workers: int, draws_per_trial: int, chunk_fn) -> list[np.ndarray]:
-    bounds = chunk_bounds(n, workers, draws_per_trial)
-    if workers <= 1 or len(bounds) == 1:
-        return [chunk_fn(lo, hi) for lo, hi in bounds]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda span: chunk_fn(*span), bounds))
+def _hv_counts(theta_ab: float, rng: np.random.Generator, count: int) -> np.ndarray:
+    batch = sample_singlet_batch(theta_ab, count, rng)
+    return _bin_channels(batch.alpha, batch.beta)
+
+
+def _sampler_counts(cum: np.ndarray, rng: np.random.Generator, count: int) -> np.ndarray:
+    idx = np.minimum(np.searchsorted(cum, rng.random(count), side="right"), 3)
+    return np.bincount(idx, minlength=4)
+
+
+def _series_job(a: BlochDirection, b: BlochDirection, n: int, model: str, seed: int, stream: int):
+    if model == "hv":
+        return seed, stream, n, 2, partial(_hv_counts, a.angle_to(b))
+    return seed, stream, n, 1, partial(_sampler_counts, np.cumsum(channel_weights(a, b)))
+
+
+def _run(jobs, workers: int) -> list[np.ndarray]:
+    """Channel counts of each job ``(seed, stream, n, draws_per_trial, kernel)``.
+
+    ``kernel(rng, count)`` tallies count trials drawn from rng.  The chunk of
+    a job starting at trial lo draws at offset draws_per_trial * lo, so the
+    counts do not depend on the chunking.  All jobs share one pool; each
+    thread takes a strided share of the chunks and keeps its own totals.
+    """
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
+    if any(n < 1 for _, _, n, _, _ in jobs):
+        raise ValueError("series length must be at least 1")
+    items = [(j, lo) for j, (_, _, n, _, _) in enumerate(jobs) for lo in range(0, n, CHUNK_TRIALS)]
+
+    def work(share) -> list:
+        totals = [0] * len(jobs)
+        for j, lo in share:
+            seed, stream, n, draws_per_trial, kernel = jobs[j]
+            rng = substream(seed, stream, draw_offset=draws_per_trial * lo)
+            totals[j] += kernel(rng, min(CHUNK_TRIALS, n - lo))
+        return totals
+
+    threads = min(workers, os.cpu_count() or 1, len(items))
+    if threads <= 1:
+        parts = [work(items)]
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            parts = list(pool.map(work, [items[k::threads] for k in range(threads)]))
+    return [sum(part[j] for part in parts) for j in range(len(jobs))]
 
 
 def run_series(
@@ -126,31 +169,16 @@ def run_series(
     "quantum-sampler" draws channels directly from the exact weights.
     Results depend only on (seed, stream, n, settings), not on workers.
     """
-    if n < 1:
-        raise ValueError("series length must be at least 1")
     if model not in SERIES_MODELS:
         raise ValueError(f"model must be one of {SERIES_MODELS}, got {model!r}")
-    dpt = _DRAWS_PER_TRIAL[model]
-
-    if model == "hv":
-        theta = a.angle_to(b)
-
-        def chunk_fn(lo: int, hi: int) -> np.ndarray:
-            rng = substream(seed, stream, draw_offset=dpt * lo)
-            batch = sample_singlet_batch(theta, hi - lo, rng)
-            return _bin_channels(batch.alpha, batch.beta)
-
-    else:
-        cum = np.cumsum(channel_weights(a, b))
-
-        def chunk_fn(lo: int, hi: int) -> np.ndarray:
-            rng = substream(seed, stream, draw_offset=dpt * lo)
-            u = rng.random(hi - lo)
-            idx = np.minimum(np.searchsorted(cum, u, side="right"), 3)
-            return np.bincount(idx, minlength=4)
-
-    counts = np.sum(_map_chunks(n, workers, dpt, chunk_fn), axis=0)
+    (counts,) = _run([_series_job(a, b, n, model, seed, stream)], workers)
     return SettingSeries(a=a, b=b, counts=tuple(counts))
+
+
+def run_hv_sweep(separations, n: int, seed: int = 0, *, workers: int = 1) -> list[tuple[int, ...]]:
+    """hv channel counts of n trials at each separation angle, point i on stream i."""
+    jobs = [(seed, i, n, 2, partial(_hv_counts, theta)) for i, theta in enumerate(separations)]
+    return [tuple(counts) for counts in _run(jobs, workers)]
 
 
 def estimate_correlation(series: SettingSeries) -> tuple[float, float]:
@@ -173,6 +201,12 @@ def _pair_streams(
     return ((a, b, 0), (a, b_prime, 1), (a_prime, b, 2), (a_prime, b_prime, 3))
 
 
+def _pair_result(a: BlochDirection, b: BlochDirection, counts) -> PairResult:
+    series = SettingSeries(a=a, b=b, counts=counts)
+    estimate, std_error = estimate_correlation(series)
+    return PairResult(a=a, b=b, estimate=estimate, std_error=std_error, series=series)
+
+
 def run_chsh(
     a: BlochDirection,
     a_prime: BlochDirection,
@@ -187,28 +221,19 @@ def run_chsh(
     """Run the four CHSH setting pairs as independent series and combine them.
 
     Each pair gets its own randomness stream keyed by its position, so the
-    four series are unchanged under reordering or re-running.  Model
-    "quantum-exact" skips sampling and reports the closed-form correlation
-    with zero error.
+    four series are unchanged under reordering or re-running; they share one
+    pool of workers.  Model "quantum-exact" skips sampling and reports the
+    closed-form correlation with zero error.
     """
     if model not in CHSH_MODELS:
         raise ValueError(f"model must be one of {CHSH_MODELS}, got {model!r}")
-    pairs = []
-    for x, y, stream in _pair_streams(a, a_prime, b, b_prime):
-        if model == "quantum-exact":
-            pairs.append(PairResult(a=x, b=y, estimate=correlation_exact(x, y), std_error=0.0))
-        else:
-            series = run_series(x, y, n_per_pair, model, seed, stream=stream, workers=workers)
-            estimate, std_error = estimate_correlation(series)
-            pairs.append(
-                PairResult(a=x, b=y, estimate=estimate, std_error=std_error, series=series)
-            )
-    tag = "quantum-exact" if model == "quantum-exact" else f"{model}-per-setting"
-    return ChshReport(pairs=tuple(pairs), model=tag)
-
-
-def _hemisphere_outcomes(lam: np.ndarray, direction: BlochDirection) -> np.ndarray:
-    return np.where(lam @ direction.unit_vector >= 0.0, 1, -1)
+    settings = _pair_streams(a, a_prime, b, b_prime)
+    if model == "quantum-exact":
+        exact = [PairResult(x, y, correlation_exact(x, y), 0.0) for x, y, _ in settings]
+        return ChshReport(pairs=tuple(exact), model=model)
+    jobs = [_series_job(x, y, n_per_pair, model, seed, stream) for x, y, stream in settings]
+    pairs = [_pair_result(x, y, c) for (x, y, _), c in zip(settings, _run(jobs, workers))]
+    return ChshReport(pairs=tuple(pairs), model=f"{model}-per-setting")
 
 
 def _hidden_vectors(u: np.ndarray) -> np.ndarray:
@@ -216,6 +241,15 @@ def _hidden_vectors(u: np.ndarray) -> np.ndarray:
     az = 2.0 * math.pi * u[:, 1]
     s = np.sqrt(np.maximum(0.0, 1.0 - z * z))
     return np.column_stack((s * np.cos(az), s * np.sin(az), z))
+
+
+def _transfer_counts(pairs, rng: np.random.Generator, count: int) -> np.ndarray:
+    """Hemisphere-sign tallies, one row per setting pair; the pairs share each
+    trial's hidden vector, and each distinct direction on a side is projected once."""
+    lam = _hidden_vectors(rng.random((count, 2)))
+    side1 = {x: np.where(lam @ x.unit_vector >= 0.0, 1, -1) for x, _ in pairs}
+    side2 = {y: np.where(lam @ y.unit_vector >= 0.0, -1, 1) for _, y in pairs}  # anti-aligned
+    return np.stack([_bin_channels(side1[x], side2[y]) for x, y in pairs])
 
 
 def run_transfer_series(
@@ -232,18 +266,8 @@ def run_transfer_series(
     One hidden unit vector per trial; side 1 reports the sign of its
     projection on a, side 2 the opposite sign of its projection on b.
     """
-    if n < 1:
-        raise ValueError("series length must be at least 1")
-
-    def chunk_fn(lo: int, hi: int) -> np.ndarray:
-        rng = substream(seed, stream, draw_offset=2 * lo)
-        lam = _hidden_vectors(rng.random((hi - lo, 2)))
-        alpha = _hemisphere_outcomes(lam, a)
-        beta = -_hemisphere_outcomes(lam, b)
-        return _bin_channels(alpha, beta)
-
-    counts = np.sum(_map_chunks(n, workers, 2, chunk_fn), axis=0)
-    return SettingSeries(a=a, b=b, counts=tuple(counts))
+    (counts,) = _run([(seed, stream, n, 2, partial(_transfer_counts, [(a, b)]))], workers)
+    return SettingSeries(a=a, b=b, counts=tuple(counts[0]))
 
 
 def run_transfer_baseline(
@@ -265,28 +289,12 @@ def run_transfer_baseline(
     exceed 2 beyond sampling noise; the per-pair correlation is the linear
     ramp -1 + 2*theta/pi rather than -cos(theta).
     """
-    if n < 1:
-        raise ValueError("series length must be at least 1")
     pair_dirs = [(x, y) for x, y, _ in _pair_streams(a, a_prime, b, b_prime)]
-
-    def chunk_fn(lo: int, hi: int) -> np.ndarray:
-        rng = substream(seed, 0, draw_offset=2 * lo)
-        lam = _hidden_vectors(rng.random((hi - lo, 2)))
-        side1 = {d: _hemisphere_outcomes(lam, d) for d in (a, a_prime)}
-        side2 = {d: -_hemisphere_outcomes(lam, d) for d in (b, b_prime)}
-        return np.stack([_bin_channels(side1[x], side2[y]) for x, y in pair_dirs])
-
-    counts = np.sum(_map_chunks(n, workers, 2, chunk_fn), axis=0)
-    pairs = []
-    for (x, y), pair_counts in zip(pair_dirs, counts):
-        series = SettingSeries(a=x, b=y, counts=tuple(pair_counts))
-        estimate, std_error = estimate_correlation(series)
-        pairs.append(PairResult(a=x, b=y, estimate=estimate, std_error=std_error, series=series))
+    (counts,) = _run([(seed, 0, n, 2, partial(_transfer_counts, pair_dirs))], workers)
+    pairs = [_pair_result(x, y, c) for (x, y), c in zip(pair_dirs, counts)]
     return ChshReport(pairs=tuple(pairs), model="transfer-baseline")
 
 
 def transfer_correlation_analytic(theta_ab: float) -> float:
     """Hemisphere-model correlation: linear in the separation, -1 + 2*theta/pi."""
-    if not 0.0 <= theta_ab <= math.pi:
-        raise ValueError("separation angle must lie in [0, pi]")
-    return -1.0 + 2.0 * theta_ab / math.pi
+    return -1.0 + 2.0 * _check_separation(theta_ab) / math.pi

@@ -50,8 +50,10 @@ class BlochDirection:
     phi: float = 0.0
 
     def __post_init__(self):
-        theta = float(self.theta) % _TAU
-        phi = float(self.phi)
+        theta, phi = float(self.theta), float(self.phi)
+        if not (math.isfinite(theta) and math.isfinite(phi)):
+            raise ValueError(f"direction angles must be finite, got ({theta}, {phi})")
+        theta %= _TAU
         if theta > math.pi:
             theta = _TAU - theta
             phi += math.pi
@@ -65,8 +67,8 @@ class BlochDirection:
         norm = float(np.linalg.norm(v))
         if norm == 0.0:
             raise ValueError("cannot build a direction from the zero vector")
-        v = v / norm
-        return cls(math.acos(max(-1.0, min(1.0, v[2]))), math.atan2(v[1], v[0]))
+        x, y, z = v
+        return cls(math.atan2(math.hypot(x, y), z), math.atan2(y, x))
 
     @property
     def unit_vector(self) -> np.ndarray:

@@ -2,14 +2,13 @@
 
 Every sampling routine in this package draws its uniforms from a Philox
 counter-based generator keyed by ``(seed, stream)``.  Trial ``i`` of a run
-owns a fixed window of draws in that keyed stream, so the result of a run
-depends only on the seed and the configuration, never on how the trials are
-chunked across workers or in which order the chunks execute.
+owns a fixed window of draws in that keyed stream, and a generator can be
+positioned at any block-aligned window in constant time.  A run can
+therefore draw its trials in fixed-size chunks, in any order and on any
+thread, and still get exactly the draws of a single pass.
 """
 
 from __future__ import annotations
-
-from math import lcm
 
 import numpy as np
 
@@ -36,24 +35,3 @@ def substream(seed: int, stream: int = 0, draw_offset: int = 0) -> np.random.Gen
         bits.advance(draw_offset // BLOCK_DRAWS)
     return np.random.Generator(bits)
 
-
-def chunk_bounds(n: int, workers: int, draws_per_trial: int) -> list[tuple[int, int]]:
-    """Split ``n`` trials into contiguous chunks with block-aligned start offsets.
-
-    Each chunk ``(lo, hi)`` starts at draw offset ``lo * draws_per_trial``,
-    which is kept a multiple of :data:`BLOCK_DRAWS` so a worker can jump the
-    generator straight to its window.  The union of chunks is always
-    ``[0, n)`` in order, whatever ``workers`` is.
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
-    if draws_per_trial < 1:
-        raise ValueError("draws_per_trial must be at least 1")
-    align = lcm(BLOCK_DRAWS, draws_per_trial) // draws_per_trial
-    if workers == 1 or n <= align:
-        return [(0, n)]
-    size = -(-n // workers)
-    size = -(-size // align) * align
-    return [(lo, min(lo + size, n)) for lo in range(0, n, size)]

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from spincorr import harness
 from spincorr.cli import main
 
 
@@ -234,6 +235,46 @@ def test_bad_grid_arguments(capsys):
     assert run_cli(capsys, "sweep", "--grid", "0:180")[0] == 2
     assert run_cli(capsys, "sweep", "--grid", "10:0:5")[0] == 2
     assert run_cli(capsys, "sweep", "--grid", "0:200:50", "--deg")[0] == 2
+
+
+SETTINGS = ("--a-prime", "90,0", "--b", "45,0", "--b-prime", "135,0", "--deg")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("exact", "--theta-ab", "60", "--deg", "--n", "-5"),
+        ("weights", "--theta-ab", "60", "--deg", "--workers", "0"),
+        ("sample", "--theta-ab", "1.0", "--n", "0"),
+        ("chsh", "--n", "10", "--workers", "-1"),
+        ("sweep", "--grid", "0:10:5", "--deg", "--single-electron", "--workers", "0"),
+        ("chsh", "--a", "inf,0", *SETTINGS, "--n", "10"),
+        ("chsh", "--a", "nan,0", *SETTINGS, "--n", "10"),
+        ("exact", "--a", "0,0", "--b", "1,nan"),
+        ("exact", "--theta-ab", "nan"),
+        ("sweep", "--grid", "0:inf:1", "--n", "10"),
+        ("sweep", "--grid", "nan:1:0.5", "--n", "10"),
+        ("sweep", "--grid", "0:1:inf", "--n", "10"),
+        ("sweep", "--grid", "0:1:nan", "--n", "10"),
+        ("sweep", "--grid", "0:180:1e-300", "--deg", "--n", "10"),
+    ],
+)
+def test_bad_input_is_a_usage_error(capsys, args):
+    code, out, err = run_cli(capsys, *args)
+    assert (code, out) == (2, "")
+    assert err.startswith("spincorr: error: ")
+
+
+def test_single_work_item_starts_no_thread(capsys, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was started")
+
+    monkeypatch.setattr(harness, "ThreadPoolExecutor", no_pool)
+    args = ("sample", "--theta-ab", "1.0", "--n", "100", "--seed", "3")
+    _, one, _ = run_cli(capsys, *args)
+    code, capped, _ = run_cli(capsys, *args, "--workers", "64")
+    assert code == 0
+    assert capped == one
 
 
 def test_unknown_flag_exits_two():

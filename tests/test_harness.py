@@ -1,8 +1,12 @@
 import math
+import os
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from spincorr import harness
 from spincorr.harness import (
     CHSH_SIGNS,
     ChshReport,
@@ -17,6 +21,7 @@ from spincorr.harness import (
     transfer_correlation_analytic,
 )
 from spincorr.quantum import BlochDirection
+from spincorr.streams import BLOCK_DRAWS
 
 Z = BlochDirection(0.0)
 
@@ -122,6 +127,58 @@ def test_chsh_pairs_match_standalone_series():
     pairs = [(a, b, 0), (a, b_prime, 1), (a_prime, b, 2), (a_prime, b_prime, 3)]
     for pair, (x, y, s) in zip(report.pairs, pairs):
         assert pair.series.counts == run_series(x, y, 4000, "hv", 5, stream=s).counts
+
+
+# --- trial runner ---
+
+
+def test_chunk_size_is_block_aligned():
+    assert harness.CHUNK_TRIALS % BLOCK_DRAWS == 0
+
+
+def _runner_counts(workers):
+    settings = a, _, b, b_prime = canonical_settings()
+    n = 1001
+    return [
+        run_series(a, b, n, "hv", seed=3, stream=1, workers=workers).counts,
+        run_series(a, b_prime, n, "quantum-sampler", seed=3, stream=2, workers=workers).counts,
+        [p.series.counts for p in run_transfer_baseline(*settings, n, 3, workers=workers).pairs],
+        [p.series.counts for p in run_chsh(*settings, n, "quantum-sampler", 3, workers=workers).pairs],
+        harness.run_hv_sweep([0.0, 0.4, 2.5], n, 3, workers=workers),
+    ]
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_small_chunks_reproduce_single_chunk_counts(monkeypatch, workers):
+    reference = _runner_counts(1)
+    monkeypatch.setattr(harness, "CHUNK_TRIALS", 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # threads interleave often, so a lost update would show
+    try:
+        assert _runner_counts(workers) == reference
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_one_pool_serves_every_job(monkeypatch):
+    pools = []
+
+    class Recorder(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(harness, "ThreadPoolExecutor", Recorder)
+    monkeypatch.setattr(harness, "CHUNK_TRIALS", 8)
+    run_chsh(*canonical_settings(), 101, "hv", seed=1, workers=2)
+    harness.run_hv_sweep([0.1 * k for k in range(30)], 5, seed=1, workers=2)
+    threads = min(2, os.cpu_count() or 1)
+    assert pools == ([threads, threads] if threads > 1 else [])
+
+
+def test_runner_rejects_nonpositive_workers():
+    with pytest.raises(ValueError):
+        run_series(Z, Z, 10, workers=0)
 
 
 # --- CHSH reports ---

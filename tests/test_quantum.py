@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from spincorr.quantum import (
@@ -53,12 +53,21 @@ def test_direction_negative_zenith_lands_in_opposite_half_plane():
     assert d.unit_vector == pytest.approx([-math.sin(math.pi / 4), 0.0, math.cos(math.pi / 4)])
 
 
+@pytest.mark.parametrize(
+    "theta,phi", [(math.inf, 0.0), (math.nan, 0.0), (0.0, -math.inf), (1.0, math.nan)]
+)
+def test_direction_rejects_non_finite_angles(theta, phi):
+    with pytest.raises(ValueError, match="finite"):
+        BlochDirection(theta, phi)
+
+
 @given(directions)
 def test_unit_vector_has_unit_norm(d):
     assert np.linalg.norm(d.unit_vector) == pytest.approx(1.0, abs=1e-12)
 
 
 @given(directions)
+@example(BlochDirection(5.586261508006219e-09))  # acos(z) rounds this zenith to 0
 def test_from_vector_round_trip(d):
     again = BlochDirection.from_vector(d.unit_vector)
     assert np.allclose(again.unit_vector, d.unit_vector, atol=1e-9)

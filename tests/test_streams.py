@@ -1,9 +1,7 @@
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
-
-from spincorr.streams import BLOCK_DRAWS, chunk_bounds, substream
+from spincorr.harness import CHUNK_TRIALS
+from spincorr.streams import BLOCK_DRAWS, substream
 
 
 def test_same_key_reproduces():
@@ -20,7 +18,7 @@ def test_distinct_seeds_differ():
     assert not np.array_equal(substream(1, 0).random(8), substream(2, 0).random(8))
 
 
-@pytest.mark.parametrize("offset", [4, 8, 64, 4096])
+@pytest.mark.parametrize("offset", [4, 8, 64, 4096, CHUNK_TRIALS, 2 * CHUNK_TRIALS])
 def test_offset_skips_exactly_that_many_draws(offset):
     full = substream(123, 5).random(offset + 12)
     tail = substream(123, 5, draw_offset=offset).random(12)
@@ -47,29 +45,14 @@ def test_scalar_and_vector_draws_agree():
     assert [rng.random() for _ in range(10)] == vec.tolist()
 
 
-@given(st.integers(1, 4000), st.integers(1, 9), st.integers(1, 5))
-def test_chunks_tile_the_range_in_order(n, workers, dpt):
-    bounds = chunk_bounds(n, workers, dpt)
-    assert bounds[0][0] == 0
-    assert bounds[-1][1] == n
-    for (lo, hi), (nxt_lo, _) in zip(bounds, bounds[1:]):
-        assert lo < hi
-        assert hi == nxt_lo
-
-
-@given(st.integers(1, 4000), st.integers(1, 9), st.integers(1, 5))
-def test_chunk_starts_are_block_aligned(n, workers, dpt):
-    for lo, _ in chunk_bounds(n, workers, dpt):
-        assert (lo * dpt) % BLOCK_DRAWS == 0
-
-
 @pytest.mark.parametrize("dpt", [1, 2])
-@pytest.mark.parametrize("workers", [2, 3, 5])
-def test_chunked_draws_match_single_pass(dpt, workers):
-    n = 1001
+@pytest.mark.parametrize("blocks", [2, 3, 5])
+def test_chunked_draws_match_single_pass(dpt, blocks):
+    # fixed-size chunks of trials, each drawn from its own block-aligned window
+    n, chunk = 1001, blocks * BLOCK_DRAWS
     full = substream(9, 2).random(n * dpt)
     pieces = [
-        substream(9, 2, draw_offset=dpt * lo).random((hi - lo) * dpt)
-        for lo, hi in chunk_bounds(n, workers, dpt)
+        substream(9, 2, draw_offset=dpt * lo).random((min(lo + chunk, n) - lo) * dpt)
+        for lo in range(0, n, chunk)
     ]
     assert np.array_equal(np.concatenate(pieces), full)
