@@ -26,15 +26,19 @@ from .harness import (
     run_chsh,
     run_hv_sweep,
     run_series,
-    run_transfer_baseline,
-    run_transfer_series,
 )
 from .hidden import _check_separation, single_electron_correlation, singlet_correlation_analytic
 from .quantum import BlochDirection, correlation_exact, decompose_eigenbasis, decompose_intermediate
+from .streams import _U64_MAX
 
 PAIR_LABELS = ("ab", "ab_prime", "a_prime_b", "a_prime_b_prime")
 
 MAX_GRID_POINTS = 1_000_000
+
+# --model choice -> harness model.  The document's model tag is that name, except that
+# chsh appends -per-setting for models that draw fresh trials for each pair.
+SAMPLE_MODELS = {"exact": "quantum-sampler", "hv": "hv", "transfer": "transfer-baseline"}
+CHSH_MODELS = {"exact": "quantum-exact", "hv": "hv", "transfer": "transfer-baseline"}
 
 
 @dataclass(frozen=True)
@@ -159,16 +163,11 @@ def cmd_weights(config: RunConfig) -> Report:
 def cmd_sample(config: RunConfig) -> Report:
     """One coincidence series at a single setting pair."""
     a, b = _resolve_pair(config)
-    if config.model == "transfer":
-        series = run_transfer_series(a, b, config.n, config.seed, workers=config.workers)
-        tag = "transfer-baseline"
-    else:
-        model = "quantum-sampler" if config.model == "exact" else "hv"
-        series = run_series(a, b, config.n, model, config.seed, workers=config.workers)
-        tag = model
+    model = SAMPLE_MODELS[config.model]
+    series = run_series(a, b, config.n, model, config.seed, workers=config.workers)
     estimate, std_error = estimate_correlation(series)
 
-    meta = _base_metadata(config, tag)
+    meta = _base_metadata(config, model)
     _direction_metadata(meta, "a", a)
     _direction_metadata(meta, "b", b)
     meta["separation"] = a.angle_to(b)
@@ -194,15 +193,8 @@ def _resolve_quadruple(config: RunConfig):
 def cmd_chsh(config: RunConfig) -> Report:
     """Four-setting CHSH run for the chosen model."""
     a, a_prime, b, b_prime = _resolve_quadruple(config)
-    if config.model == "transfer":
-        report = run_transfer_baseline(
-            a, a_prime, b, b_prime, config.n, config.seed, workers=config.workers
-        )
-    else:
-        model = "quantum-exact" if config.model == "exact" else "hv"
-        report = run_chsh(
-            a, a_prime, b, b_prime, config.n, model, config.seed, workers=config.workers
-        )
+    model = CHSH_MODELS[config.model]
+    report = run_chsh(a, a_prime, b, b_prime, config.n, model, config.seed, workers=config.workers)
 
     meta = _base_metadata(config, report.model)
     for label, d in zip(("a", "a_prime", "b", "b_prime"), (a, a_prime, b, b_prime)):
@@ -262,7 +254,7 @@ def cmd_sweep(config: RunConfig) -> Report:
         estimate, std_error = estimate_correlation(SettingSeries(a=a, b=b, counts=counts))
         # Flipped region signs negate the estimate; 0.0 - x keeps a zero unsigned.
         if config.single_electron:
-            curves = (math.cos(theta), single_electron_correlation(theta, "analytic"), 0.0 - estimate)
+            curves = (math.cos(theta), single_electron_correlation(theta), 0.0 - estimate)
         else:
             curves = (correlation_exact(a, b), singlet_correlation_analytic(theta), estimate)
         rows.append((theta, *curves, std_error))
@@ -316,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample = sub.add_parser("sample", help="run one coincidence series")
     add_pair(p_sample)
     p_sample.add_argument(
-        "--model", choices=("exact", "hv", "transfer"), default="hv",
+        "--model", choices=SAMPLE_MODELS, default="hv",
         help="exact: sample quantum channel weights; hv: hidden-variable model; "
         "transfer: hemisphere-sign baseline",
     )
@@ -326,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     for flag in ("--a", "--a-prime", "--b", "--b-prime"):
         p_chsh.add_argument(flag, help=f"setting {flag[2:]} as zenith,azimuth")
     p_chsh.add_argument(
-        "--model", choices=("exact", "hv", "transfer"), default="hv",
+        "--model", choices=CHSH_MODELS, default="hv",
         help="exact: closed-form correlations; hv: per-setting hidden-variable series; "
         "transfer: shared-outcome baseline",
     )
@@ -378,6 +370,8 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     for flag, value in (("--n", args.n), ("--workers", args.workers)):
         if value < 1:
             raise ValueError(f"{flag} must be at least 1")
+    if not 0 <= args.seed <= _U64_MAX:
+        raise ValueError(f"--seed must lie in [0, 2**64 - 1], got {args.seed}")
     unit = "deg" if args.deg else "rad"
     conv = math.pi / 180.0 if unit == "deg" else 1.0
 

@@ -27,8 +27,8 @@ CHANNEL_OUTCOMES = ((1, -1), (-1, 1), (1, 1), (-1, -1))
 
 CHSH_SIGNS = (1, -1, 1, 1)
 
-SERIES_MODELS = ("hv", "quantum-sampler")
-CHSH_MODELS = ("hv", "quantum-sampler", "quantum-exact")
+# Only the transfer baseline shares each trial across setting pairs.
+SAMPLED_MODELS = ("hv", "quantum-sampler", "transfer-baseline")
 
 # Trials per work item; a multiple of streams.BLOCK_DRAWS, so chunks start on a generator block.
 CHUNK_TRIALS = 1 << 20
@@ -116,12 +116,6 @@ def _sampler_counts(cum: np.ndarray, rng: np.random.Generator, count: int) -> np
     return np.bincount(idx, minlength=4)
 
 
-def _series_job(a: BlochDirection, b: BlochDirection, n: int, model: str, seed: int, stream: int):
-    if model == "hv":
-        return seed, stream, n, 2, partial(_hv_counts, a.angle_to(b))
-    return seed, stream, n, 1, partial(_sampler_counts, np.cumsum(channel_weights(a, b)))
-
-
 def _run(jobs, workers: int) -> list[np.ndarray]:
     """Channel counts of each job ``(seed, stream, n, draws_per_trial, kernel)``.
 
@@ -153,6 +147,27 @@ def _run(jobs, workers: int) -> list[np.ndarray]:
     return [sum(part[j] for part in parts) for j in range(len(jobs))]
 
 
+def _sample(pairs, n: int, model: str, seed: int, stream: int, workers: int) -> list[np.ndarray]:
+    """Channel counts of n trials at each setting pair ``(a, b)``.
+
+    "transfer-baseline" evaluates every pair on the same trials, one job on
+    stream; the other models give pair k fresh trials on stream + k.
+    """
+    if model not in SAMPLED_MODELS:
+        raise ValueError(f"unknown model {model!r}; the sampled models are {SAMPLED_MODELS}")
+    if model == "transfer-baseline":
+        (counts,) = _run([(seed, stream, n, 2, partial(_transfer_counts, pairs))], workers)
+        return list(counts)
+    jobs = []
+    for k, (a, b) in enumerate(pairs):
+        if model == "hv":
+            kernel = 2, partial(_hv_counts, a.angle_to(b))
+        else:
+            kernel = 1, partial(_sampler_counts, np.cumsum(channel_weights(a, b)))
+        jobs.append((seed, stream + k, n, *kernel))
+    return _run(jobs, workers)
+
+
 def run_series(
     a: BlochDirection,
     b: BlochDirection,
@@ -166,12 +181,13 @@ def run_series(
     """Draw n coincidences at one setting pair and tally the four channels.
 
     model "hv" runs the hidden-variable sampler at the separation angle;
-    "quantum-sampler" draws channels directly from the exact weights.
-    Results depend only on (seed, stream, n, settings), not on workers.
+    "quantum-sampler" draws channels directly from the exact weights;
+    "transfer-baseline" reports hemisphere signs of one hidden unit vector
+    per trial, the sign of its projection on a and the opposite sign of its
+    projection on b.  Results depend only on (seed, stream, n, settings),
+    not on workers.
     """
-    if model not in SERIES_MODELS:
-        raise ValueError(f"model must be one of {SERIES_MODELS}, got {model!r}")
-    (counts,) = _run([_series_job(a, b, n, model, seed, stream)], workers)
+    (counts,) = _sample([(a, b)], n, model, seed, stream, workers)
     return SettingSeries(a=a, b=b, counts=tuple(counts))
 
 
@@ -195,12 +211,6 @@ def estimate_correlation(series: SettingSeries) -> tuple[float, float]:
     return estimate, std_error
 
 
-def _pair_streams(
-    a: BlochDirection, a_prime: BlochDirection, b: BlochDirection, b_prime: BlochDirection
-):
-    return ((a, b, 0), (a, b_prime, 1), (a_prime, b, 2), (a_prime, b_prime, 3))
-
-
 def _pair_result(a: BlochDirection, b: BlochDirection, counts) -> PairResult:
     series = SettingSeries(a=a, b=b, counts=counts)
     estimate, std_error = estimate_correlation(series)
@@ -218,22 +228,23 @@ def run_chsh(
     *,
     workers: int = 1,
 ) -> ChshReport:
-    """Run the four CHSH setting pairs as independent series and combine them.
+    """Run the four CHSH setting pairs and combine them.
 
-    Each pair gets its own randomness stream keyed by its position, so the
-    four series are unchanged under reordering or re-running; they share one
-    pool of workers.  Model "quantum-exact" skips sampling and reports the
-    closed-form correlation with zero error.
+    Under "hv" and "quantum-sampler" each pair is an independent series on
+    the stream matching its position, so the four series are unchanged
+    under reordering or re-running; they share one pool of workers.  Under
+    "transfer-baseline" the four pairs share every trial.  Model
+    "quantum-exact" skips sampling and reports the closed-form correlation
+    with zero error.
     """
-    if model not in CHSH_MODELS:
-        raise ValueError(f"model must be one of {CHSH_MODELS}, got {model!r}")
-    settings = _pair_streams(a, a_prime, b, b_prime)
+    settings = ((a, b), (a, b_prime), (a_prime, b), (a_prime, b_prime))
     if model == "quantum-exact":
-        exact = [PairResult(x, y, correlation_exact(x, y), 0.0) for x, y, _ in settings]
+        exact = [PairResult(x, y, correlation_exact(x, y), 0.0) for x, y in settings]
         return ChshReport(pairs=tuple(exact), model=model)
-    jobs = [_series_job(x, y, n_per_pair, model, seed, stream) for x, y, stream in settings]
-    pairs = [_pair_result(x, y, c) for (x, y, _), c in zip(settings, _run(jobs, workers))]
-    return ChshReport(pairs=tuple(pairs), model=f"{model}-per-setting")
+    counts = _sample(settings, n_per_pair, model, seed, 0, workers)
+    pairs = [_pair_result(x, y, c) for (x, y), c in zip(settings, counts)]
+    tag = model if model == "transfer-baseline" else f"{model}-per-setting"
+    return ChshReport(pairs=tuple(pairs), model=tag)
 
 
 def _hidden_vectors(u: np.ndarray) -> np.ndarray:
@@ -250,24 +261,6 @@ def _transfer_counts(pairs, rng: np.random.Generator, count: int) -> np.ndarray:
     side1 = {x: np.where(lam @ x.unit_vector >= 0.0, 1, -1) for x, _ in pairs}
     side2 = {y: np.where(lam @ y.unit_vector >= 0.0, -1, 1) for _, y in pairs}  # anti-aligned
     return np.stack([_bin_channels(side1[x], side2[y]) for x, y in pairs])
-
-
-def run_transfer_series(
-    a: BlochDirection,
-    b: BlochDirection,
-    n: int,
-    seed: int = 0,
-    *,
-    stream: int = 0,
-    workers: int = 1,
-) -> SettingSeries:
-    """Single-pair series under the hemisphere-sign model.
-
-    One hidden unit vector per trial; side 1 reports the sign of its
-    projection on a, side 2 the opposite sign of its projection on b.
-    """
-    (counts,) = _run([(seed, stream, n, 2, partial(_transfer_counts, [(a, b)]))], workers)
-    return SettingSeries(a=a, b=b, counts=tuple(counts[0]))
 
 
 def run_transfer_baseline(
@@ -289,10 +282,7 @@ def run_transfer_baseline(
     exceed 2 beyond sampling noise; the per-pair correlation is the linear
     ramp -1 + 2*theta/pi rather than -cos(theta).
     """
-    pair_dirs = [(x, y) for x, y, _ in _pair_streams(a, a_prime, b, b_prime)]
-    (counts,) = _run([(seed, 0, n, 2, partial(_transfer_counts, pair_dirs))], workers)
-    pairs = [_pair_result(x, y, c) for (x, y), c in zip(pair_dirs, counts)]
-    return ChshReport(pairs=tuple(pairs), model="transfer-baseline")
+    return run_chsh(a, a_prime, b, b_prime, n, "transfer-baseline", seed, workers=workers)
 
 
 def transfer_correlation_analytic(theta_ab: float) -> float:

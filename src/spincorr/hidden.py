@@ -170,27 +170,12 @@ def sample_singlet_batch(theta_ab: float, count: int, rng: np.random.Generator) 
     return SampleBatch(phi=phi, alpha=alpha, beta=a_product * alpha, a_product=a_product)
 
 
-def single_electron_correlation(
-    theta_ab: float,
-    mode: str = "analytic",
-    n: int | None = None,
-    rng: np.random.Generator | None = None,
-) -> float:
+def single_electron_correlation(theta_ab: float) -> float:
     """Sequential-measurement correlation for one spin measured along a then b.
 
     The model is the singlet procedure with the region signs inverted: the
     product is +1 on [theta_ab, pi] and -1 on [0, theta_ab), giving
-    +cos(theta_ab).  "analytic" returns the closed form; "sampled" draws n
-    records and returns the mean product.
+    +cos(theta_ab).  ``sweep --single-electron`` samples it as the negated
+    singlet estimate.
     """
-    theta_ab = _check_separation(theta_ab)
-    if mode == "analytic":
-        return math.cos(theta_ab)
-    if mode != "sampled":
-        raise ValueError(f"mode must be 'analytic' or 'sampled', got {mode!r}")
-    if n is None or n < 1:
-        raise ValueError("sampled mode needs n >= 1")
-    if rng is None:
-        raise ValueError("sampled mode needs a random generator")
-    batch = sample_singlet_batch(theta_ab, n, rng)
-    return float(np.mean(-batch.a_product))
+    return math.cos(_check_separation(theta_ab))

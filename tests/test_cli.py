@@ -7,6 +7,8 @@ import pytest
 
 from spincorr import harness
 from spincorr.cli import main
+from spincorr.harness import SettingSeries, estimate_correlation
+from spincorr.quantum import BlochDirection
 
 
 def run_cli(capsys, *args):
@@ -92,7 +94,9 @@ def test_sample_counts_sum_to_n(capsys):
     assert abs(estimate + math.cos(1.0)) < 5.0 * float(meta["std_error"])
 
 
-@pytest.mark.parametrize("model,tag", [("exact", "quantum-sampler"), ("transfer", "transfer-baseline")])
+@pytest.mark.parametrize(
+    "model,tag", [("exact", "quantum-sampler"), ("hv", "hv"), ("transfer", "transfer-baseline")]
+)
 def test_sample_model_variants(capsys, model, tag):
     code, out, _ = run_cli(
         capsys, "sample", "--theta-ab", "0.7", "--n", "5000", "--model", model
@@ -121,7 +125,6 @@ def test_chsh_defaults_report_canonical_angles(capsys):
     code, out, _ = run_cli(capsys, "chsh", "--n", "20000", "--seed", "2")
     assert code == 0
     meta, columns, rows = parse_csv(out)
-    assert meta["model"] == "hv-per-setting"
     assert [row[0] for row in rows] == ["ab", "ab_prime", "a_prime_b", "a_prime_b_prime"]
     assert float(meta["a_prime_theta"]) == pytest.approx(math.pi / 2)
     assert float(meta["b_prime_theta"]) == pytest.approx(3 * math.pi / 4)
@@ -133,7 +136,6 @@ def test_chsh_exact_model_json(capsys):
     code, out, _ = run_cli(capsys, "chsh", "--model", "exact", "--format", "json")
     assert code == 0
     doc = json.loads(out)
-    assert doc["metadata"]["model"] == "quantum-exact"
     assert doc["metadata"]["s_value"] == pytest.approx(-2.0 * math.sqrt(2.0), abs=1e-12)
     assert doc["columns"][0] == "pair"
     assert len(doc["rows"]) == 4
@@ -143,8 +145,16 @@ def test_chsh_transfer_model(capsys):
     code, out, _ = run_cli(capsys, "chsh", "--model", "transfer", "--n", "30000", "--seed", "8")
     assert code == 0
     meta, _, _ = parse_csv(out)
-    assert meta["model"] == "transfer-baseline"
     assert float(meta["s_value"]) == pytest.approx(-2.0, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "model,tag", [("hv", "hv-per-setting"), ("exact", "quantum-exact"), ("transfer", "transfer-baseline")]
+)
+def test_chsh_model_tags(capsys, model, tag):
+    code, out, _ = run_cli(capsys, "chsh", "--model", model, "--n", "1000", "--seed", "3")
+    assert code == 0
+    assert parse_csv(out)[0]["model"] == tag
 
 
 def test_chsh_explicit_settings_must_be_complete(capsys):
@@ -194,6 +204,18 @@ def test_sweep_single_electron_mode(capsys):
         theta = float(row[0])
         assert float(row[2]) == pytest.approx(math.cos(theta), abs=1e-12)
         assert abs(float(row[3]) - math.cos(theta)) < 5.0 * max(float(row[4]), 1e-3)
+
+
+def test_single_electron_sweep_is_the_sign_flipped_singlet(capsys):
+    code, out, _ = run_cli(
+        capsys, "sweep", "--grid", "0:180:30", "--deg", "--single-electron", "--n", "4000", "--seed", "8"
+    )
+    assert code == 0
+    rows = parse_csv(out)[2]
+    grid = [float(row[0]) for row in rows]
+    for row, theta, counts in zip(rows, grid, harness.run_hv_sweep(grid, 4000, seed=8)):
+        series = SettingSeries(BlochDirection(0.0), BlochDirection(theta), counts)
+        assert float(row[3]) == 0.0 - estimate_correlation(series)[0]
 
 
 def test_out_file_matches_stdout(tmp_path, capsys):
@@ -257,6 +279,9 @@ SETTINGS = ("--a-prime", "90,0", "--b", "45,0", "--b-prime", "135,0", "--deg")
         ("sweep", "--grid", "0:1:inf", "--n", "10"),
         ("sweep", "--grid", "0:1:nan", "--n", "10"),
         ("sweep", "--grid", "0:180:1e-300", "--deg", "--n", "10"),
+        ("exact", "--theta-ab", "1", "--seed", "-5"),
+        ("chsh", "--model", "exact", "--seed", "-5"),
+        ("weights", "--theta-ab", "1", "--seed", "18446744073709551616"),
     ],
 )
 def test_bad_input_is_a_usage_error(capsys, args):

@@ -17,7 +17,6 @@ from spincorr.harness import (
     run_chsh,
     run_series,
     run_transfer_baseline,
-    run_transfer_series,
     transfer_correlation_analytic,
 )
 from spincorr.quantum import BlochDirection
@@ -103,7 +102,7 @@ def test_quantum_sampler_channel_proportions():
         assert abs(count / n - weight) < 4.0 * sigma
 
 
-@pytest.mark.parametrize("model", ["hv", "quantum-sampler"])
+@pytest.mark.parametrize("model", harness.SAMPLED_MODELS)
 def test_series_counts_do_not_depend_on_worker_count(model):
     kwargs = dict(model=model, seed=99, stream=2)
     reference = run_series(Z, coplanar(1.0), 10_001, **kwargs)
@@ -198,7 +197,6 @@ def test_quantum_exact_chsh_hits_the_tsirelson_value():
     report = run_chsh(*canonical_settings(), 1, "quantum-exact")
     assert report.s_value == pytest.approx(-2.0 * math.sqrt(2.0), abs=1e-12)
     assert report.s_std_error == 0.0
-    assert report.model == "quantum-exact"
 
 
 def test_all_equal_settings_give_s_of_minus_two():
@@ -208,9 +206,28 @@ def test_all_equal_settings_give_s_of_minus_two():
 
 def test_hv_chsh_lands_near_the_quantum_value():
     report = run_chsh(*canonical_settings(), 100_000, "hv", seed=3)
-    assert report.model == "hv-per-setting"
     assert abs(report.s_value + 2.0 * math.sqrt(2.0)) < 5.0 * report.s_std_error
     assert abs(report.s_value) > 2.0
+
+
+@pytest.mark.parametrize(
+    "model,tag",
+    [
+        ("hv", "hv-per-setting"),
+        ("quantum-sampler", "quantum-sampler-per-setting"),
+        ("quantum-exact", "quantum-exact"),
+        ("transfer-baseline", "transfer-baseline"),
+    ],
+)
+def test_chsh_report_model_tag(model, tag):
+    assert run_chsh(*canonical_settings(), 100, model, seed=1).model == tag
+
+
+def test_transfer_baseline_is_the_transfer_chsh_run():
+    settings = canonical_settings()
+    report = run_transfer_baseline(*settings, 1000, seed=6)
+    again = run_chsh(*settings, 1000, "transfer-baseline", seed=6)
+    assert report == again
 
 
 def test_chsh_rejects_unknown_model():
@@ -229,7 +246,7 @@ def test_chsh_workers_do_not_change_the_report():
 
 
 def test_transfer_equal_settings_anticorrelate_exactly():
-    series = run_transfer_series(Z, Z, 3000, seed=2)
+    series = run_series(Z, Z, 3000, "transfer-baseline", seed=2)
     estimate, _ = estimate_correlation(series)
     assert estimate == -1.0
     assert series.counts[2] == series.counts[3] == 0
@@ -237,7 +254,7 @@ def test_transfer_equal_settings_anticorrelate_exactly():
 
 def test_transfer_right_angle_is_uncorrelated():
     n = 1_000_000
-    series = run_transfer_series(Z, coplanar(math.pi / 2), n, seed=14)
+    series = run_series(Z, coplanar(math.pi / 2), n, "transfer-baseline", seed=14)
     estimate, std_error = estimate_correlation(series)
     assert abs(estimate) < 4.0 * std_error
 
@@ -245,7 +262,7 @@ def test_transfer_right_angle_is_uncorrelated():
 def test_transfer_correlation_is_linear_in_angle():
     n = 100_000
     for theta in (math.pi / 4, math.pi / 3, 3 * math.pi / 4):
-        series = run_transfer_series(Z, coplanar(theta), n, seed=21)
+        series = run_series(Z, coplanar(theta), n, "transfer-baseline", seed=21)
         estimate, std_error = estimate_correlation(series)
         assert abs(estimate - transfer_correlation_analytic(theta)) < 4.0 * std_error
 
@@ -260,7 +277,6 @@ def test_transfer_analytic_endpoints():
 
 def test_transfer_baseline_saturates_the_bound_at_canonical_angles():
     report = run_transfer_baseline(*canonical_settings(), 50_000, seed=4)
-    assert report.model == "transfer-baseline"
     # at these angles every trial contributes exactly -2 to the combination
     assert report.s_value == pytest.approx(-2.0, abs=1e-12)
 

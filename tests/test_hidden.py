@@ -222,34 +222,3 @@ def test_batch_count_validation():
 def test_single_electron_analytic_is_plus_cosine():
     for theta in (0.0, math.pi / 3, math.pi / 2, math.pi):
         assert single_electron_correlation(theta) == pytest.approx(math.cos(theta), abs=1e-15)
-
-
-def test_single_electron_sampled_mode():
-    n = 1_000_000
-    value = single_electron_correlation(math.pi / 3, "sampled", n, substream(31))
-    sigma = math.sqrt((1.0 - 0.25) / n)
-    assert abs(value - 0.5) < 4.0 * sigma
-
-
-def test_single_electron_is_the_sign_flipped_singlet_procedure():
-    theta, n = 1.9, 40_000
-    flipped = single_electron_correlation(theta, "sampled", n, substream(8))
-    singlet_mean = sample_singlet_batch(theta, n, substream(8)).a_product.mean()
-    assert flipped == -singlet_mean
-
-
-def test_single_electron_vs_singlet_independent_runs():
-    theta, n = 2 * math.pi / 3, 1_000_000
-    electron = single_electron_correlation(theta, "sampled", n, substream(101))
-    pair = sample_singlet_batch(theta, n, substream(202)).a_product.mean()
-    sigma = math.sqrt(2.0 * (1.0 - 0.25) / n)
-    assert abs(electron + pair) < 5.0 * sigma
-
-
-def test_single_electron_argument_validation():
-    with pytest.raises(ValueError):
-        single_electron_correlation(1.0, "sampled")
-    with pytest.raises(ValueError):
-        single_electron_correlation(1.0, "nonsense")
-    with pytest.raises(ValueError):
-        single_electron_correlation(1.0, "sampled", 10)
