@@ -79,9 +79,14 @@ class BlochDirection:
         )
 
     def angle_to(self, other: "BlochDirection") -> float:
-        """Separation angle in ``[0, pi]`` between the two axes."""
-        dot = float(np.dot(self.unit_vector, other.unit_vector))
-        return math.acos(max(-1.0, min(1.0, dot)))
+        """Separation angle in ``[0, pi]`` between the two axes.
+
+        Taken as ``atan2(|u x v|, u . v)``, which stays accurate near 0 and pi
+        where ``acos`` of the dot product loses the angle.
+        """
+        (ux, uy, uz), (vx, vy, vz) = self.unit_vector.tolist(), other.unit_vector.tolist()
+        cross = math.hypot(uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx)
+        return math.atan2(cross, ux * vx + uy * vy + uz * vz)
 
 
 @dataclass(frozen=True)

@@ -84,6 +84,17 @@ def test_angle_to_is_symmetric_and_bounded(d1, d2):
     assert 0.0 <= d1.angle_to(d2) <= math.pi
 
 
+@pytest.mark.parametrize("delta", [1e-9, 1e-7, 1e-4])
+def test_angle_to_is_accurate_near_zero_and_pi(delta):
+    separation = (1.0 + delta) - 1.0  # the exact zenith difference of the two axes
+    for phi in (0.0, 0.7):
+        near = BlochDirection(1.0, phi).angle_to(BlochDirection(1.0 + delta, phi))
+        assert near == pytest.approx(separation, rel=1e-6, abs=0.0)
+    far = BlochDirection(0.0).angle_to(BlochDirection(math.pi - delta))
+    assert far < math.pi
+    assert far == pytest.approx(math.pi - delta, rel=0.0, abs=1e-15)
+
+
 # --- spin projection and eigenbasis ---
 
 
