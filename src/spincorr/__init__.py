@@ -18,11 +18,9 @@ from .harness import (
 )
 from .hidden import (
     HIDDEN_ANGLE,
-    Partition,
     partition_measures,
     sample_phi,
     sample_singlet_batch,
-    sample_singlet_pair,
     single_electron_correlation,
     singlet_correlation_analytic,
 )
@@ -54,7 +52,6 @@ __all__ = [
     "ChshReport",
     "HIDDEN_ANGLE",
     "PairResult",
-    "Partition",
     "SettingSeries",
     "Spinor",
     "canonical_settings",
@@ -72,7 +69,6 @@ __all__ = [
     "run_transfer_baseline",
     "sample_phi",
     "sample_singlet_batch",
-    "sample_singlet_pair",
     "single_electron_correlation",
     "singlet",
     "singlet_correlation_analytic",

@@ -360,10 +360,8 @@ def _parse_grid(text: str, conv: float) -> tuple[float, ...]:
     points = (stop - start) / step + 1e-9
     if points >= MAX_GRID_POINTS:
         raise ValueError(f"--grid lists more than {MAX_GRID_POINTS} points")
-    values = tuple((start + k * step) * conv for k in range(int(math.floor(points)) + 1))
-    for theta in values:
-        _check_separation(theta)
-    return values
+    # Clamped to stop, so rounding in start + k * step cannot leave [start, stop].
+    return tuple(min(start + k * step, stop) * conv for k in range(int(math.floor(points)) + 1))
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:

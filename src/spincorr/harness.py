@@ -3,10 +3,12 @@ CHSH runs over four setting pairs, and a transferable-outcomes baseline.
 
 Each series draws fresh randomness for its own setting pair; nothing is
 carried over between pairs except in the transfer baseline, which is the
-point of that model.  One trial runner serves every sampled model: it draws
-fixed-size chunks of trials from counter-based generators keyed by (seed,
-stream), so results are bit-identical for a given seed and configuration at
-any worker count, and memory does not grow with the number of trials.
+point of that model.  One trial runner serves every sampled model and is the
+only place that draws: it takes fixed-size chunks of uniforms from
+counter-based generators keyed by (seed, stream) and hands each chunk to the
+model's kernel, which tallies the four channels.  Results are bit-identical
+for a given seed and configuration at any worker count, and memory does not
+grow with the number of trials.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from functools import partial
 
 import numpy as np
 
-from .hidden import _check_separation, sample_singlet_batch
+from .hidden import _check_separation, sample_phi
 from .quantum import CHANNEL_EIGENVALUES, BlochDirection, channel_weights, correlation_exact
 from .streams import substream
 
@@ -31,7 +33,7 @@ CHSH_SIGNS = (1, -1, 1, 1)
 SAMPLED_MODELS = ("hv", "quantum-sampler", "transfer-baseline")
 
 # Trials per work item; a multiple of streams.BLOCK_DRAWS, so chunks start on a generator block.
-CHUNK_TRIALS = 1 << 20
+CHUNK_TRIALS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -101,28 +103,33 @@ def canonical_settings() -> tuple[BlochDirection, BlochDirection, BlochDirection
     )
 
 
-def _bin_channels(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    idx = np.where(alpha * beta < 0, 0, 2) + (alpha < 0)
-    return np.bincount(idx, minlength=4)
+def _bin_channels(alpha_minus: np.ndarray, product_plus: np.ndarray) -> np.ndarray:
+    """Channel tallies from two sign bits per trial: side 1 negative, product positive.
+
+    This fixes the channel order (+,-), (-,+), (+,+), (-,-) for every kernel.
+    """
+    return np.bincount(2 * product_plus + alpha_minus, minlength=4)
 
 
-def _hv_counts(theta_ab: float, rng: np.random.Generator, count: int) -> np.ndarray:
-    batch = sample_singlet_batch(theta_ab, count, rng)
-    return _bin_channels(batch.alpha, batch.beta)
+def _hv_counts(theta_ab: float, u: np.ndarray) -> np.ndarray:
+    """Hidden-variable tallies: u[:, 0] picks alpha, u[:, 1] the hidden angle,
+    as in :func:`~spincorr.hidden.sample_singlet_batch`."""
+    return _bin_channels(u[:, 0] >= 0.5, sample_phi(u[:, 1]) < theta_ab)
 
 
-def _sampler_counts(cum: np.ndarray, rng: np.random.Generator, count: int) -> np.ndarray:
-    idx = np.minimum(np.searchsorted(cum, rng.random(count), side="right"), 3)
+def _sampler_counts(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    idx = np.minimum(np.searchsorted(cum, u[:, 0], side="right"), 3)
     return np.bincount(idx, minlength=4)
 
 
 def _run(jobs, workers: int) -> list[np.ndarray]:
     """Channel counts of each job ``(seed, stream, n, draws_per_trial, kernel)``.
 
-    ``kernel(rng, count)`` tallies count trials drawn from rng.  The chunk of
-    a job starting at trial lo draws at offset draws_per_trial * lo, so the
-    counts do not depend on the chunking.  All jobs share one pool; each
-    thread takes a strided share of the chunks and keeps its own totals.
+    This is the only draw site: the chunk of a job starting at trial lo is
+    the ``(count, draws_per_trial)`` block of uniforms at offset
+    draws_per_trial * lo, and ``kernel(u)`` tallies its trials, so the counts
+    do not depend on the chunking.  All jobs share one pool; each thread
+    takes a strided share of the chunks and keeps its own totals.
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
@@ -133,9 +140,9 @@ def _run(jobs, workers: int) -> list[np.ndarray]:
     def work(share) -> list:
         totals = [0] * len(jobs)
         for j, lo in share:
-            seed, stream, n, draws_per_trial, kernel = jobs[j]
-            rng = substream(seed, stream, draw_offset=draws_per_trial * lo)
-            totals[j] += kernel(rng, min(CHUNK_TRIALS, n - lo))
+            seed, stream, n, d, kernel = jobs[j]
+            u = substream(seed, stream, draw_offset=d * lo).random((min(CHUNK_TRIALS, n - lo), d))
+            totals[j] += kernel(u)
         return totals
 
     threads = min(workers, os.cpu_count() or 1, len(items))
@@ -161,7 +168,7 @@ def _sample(pairs, n: int, model: str, seed: int, stream: int, workers: int) -> 
     jobs = []
     for k, (a, b) in enumerate(pairs):
         if model == "hv":
-            kernel = 2, partial(_hv_counts, a.angle_to(b))
+            kernel = 2, partial(_hv_counts, _check_separation(a.angle_to(b)))
         else:
             kernel = 1, partial(_sampler_counts, np.cumsum(channel_weights(a, b)))
         jobs.append((seed, stream + k, n, *kernel))
@@ -193,7 +200,8 @@ def run_series(
 
 def run_hv_sweep(separations, n: int, seed: int = 0, *, workers: int = 1) -> list[tuple[int, ...]]:
     """hv channel counts of n trials at each separation angle, point i on stream i."""
-    jobs = [(seed, i, n, 2, partial(_hv_counts, theta)) for i, theta in enumerate(separations)]
+    thetas = [_check_separation(theta) for theta in separations]
+    jobs = [(seed, i, n, 2, partial(_hv_counts, theta)) for i, theta in enumerate(thetas)]
     return [tuple(counts) for counts in _run(jobs, workers)]
 
 
@@ -254,13 +262,13 @@ def _hidden_vectors(u: np.ndarray) -> np.ndarray:
     return np.column_stack((s * np.cos(az), s * np.sin(az), z))
 
 
-def _transfer_counts(pairs, rng: np.random.Generator, count: int) -> np.ndarray:
+def _transfer_counts(pairs, u: np.ndarray) -> np.ndarray:
     """Hemisphere-sign tallies, one row per setting pair; the pairs share each
     trial's hidden vector, and each distinct direction on a side is projected once."""
-    lam = _hidden_vectors(rng.random((count, 2)))
-    side1 = {x: np.where(lam @ x.unit_vector >= 0.0, 1, -1) for x, _ in pairs}
-    side2 = {y: np.where(lam @ y.unit_vector >= 0.0, -1, 1) for _, y in pairs}  # anti-aligned
-    return np.stack([_bin_channels(side1[x], side2[y]) for x, y in pairs])
+    lam = _hidden_vectors(u)
+    up1 = {x: lam @ x.unit_vector >= 0.0 for x, _ in pairs}
+    up2 = {y: lam @ y.unit_vector >= 0.0 for _, y in pairs}  # side 2 is anti-aligned: up is -1
+    return np.stack([_bin_channels(~up1[x], up1[x] ^ up2[y]) for x, y in pairs])
 
 
 def run_transfer_baseline(

@@ -2,7 +2,9 @@
 
 A hidden angle in [0, pi] with density (1/2) sin(phi) plus a partition of
 that interval at the setting separation theta_ab reproduce the singlet
-correlation -cos(theta_ab) exactly.  The same machinery with the region
+correlation -cos(theta_ab) exactly.  A trial is two bits: the sign of the
+first outcome alpha and the sign of the product A = alpha * beta, which is
++1 exactly when phi < theta_ab.  The same machinery with the region
 signs flipped gives the sequential-measurement correlation +cos(theta_ab)
 for a single spin.
 """
@@ -56,49 +58,17 @@ def sample_phi(u):
     return HIDDEN_ANGLE.inverse_cdf(u)
 
 
-@dataclass(frozen=True)
-class Partition:
-    """Split of the hidden-angle interval at the setting separation.
-
-    The plus region is the half-open interval [0, theta_ab), where the
-    outcome product is +1; the minus region is the remainder [theta_ab, pi],
-    where it is -1.  The boundary point itself has measure zero; it is
-    assigned to the minus region.
-    """
-
-    theta_ab: float
-
-    REGION_PRODUCTS = {"minus": -1, "plus": +1}
-
-    def __post_init__(self):
-        object.__setattr__(self, "theta_ab", _check_separation(self.theta_ab))
-
-    @property
-    def minus_measure(self) -> float:
-        return math.cos(self.theta_ab / 2.0) ** 2
-
-    @property
-    def plus_measure(self) -> float:
-        return math.sin(self.theta_ab / 2.0) ** 2
-
-    @property
-    def measures(self) -> dict[str, float]:
-        return {"minus": self.minus_measure, "plus": self.plus_measure}
-
-    def product_sign(self, phi):
-        """Outcome product (+1 or -1) for hidden angles, scalar or array."""
-        phi = np.asarray(phi)
-        out = np.where(phi < self.theta_ab, 1, -1)
-        return int(out) if out.ndim == 0 else out
-
-
 def partition_measures(theta_ab: float) -> tuple[float, float]:
     """Probability masses (minus, plus) of the two regions at this separation.
 
-    Closed forms cos^2(theta_ab/2) and sin^2(theta_ab/2); they sum to one.
+    The plus region is the half-open interval [0, theta_ab), where the
+    outcome product is +1; the minus region is the remainder [theta_ab, pi],
+    where it is -1 (the boundary point has measure zero and belongs to the
+    minus region).  Closed forms cos^2(theta_ab/2) and sin^2(theta_ab/2);
+    they sum to one.
     """
-    p = Partition(theta_ab)
-    return p.minus_measure, p.plus_measure
+    half = _check_separation(theta_ab) / 2.0
+    return math.cos(half) ** 2, math.sin(half) ** 2
 
 
 def singlet_correlation_analytic(theta_ab):
@@ -115,16 +85,6 @@ def singlet_correlation_analytic(theta_ab):
 
 
 @dataclass(frozen=True)
-class SampleRecord:
-    """One model draw: hidden angle, both outcomes, and their product."""
-
-    phi: float
-    alpha: int
-    beta: int
-    a_product: int
-
-
-@dataclass(frozen=True)
 class SampleBatch:
     """Vectorized draws; arrays share one index and satisfy a_product = alpha*beta."""
 
@@ -137,28 +97,17 @@ class SampleBatch:
         return len(self.phi)
 
 
-def sample_singlet_pair(theta_ab: float, rng: np.random.Generator) -> SampleRecord:
-    """Draw one entangled-pair outcome at separation theta_ab.
-
-    The first outcome alpha is a fair coin; the hidden angle phi then fixes
-    the product (+1 on [0, theta_ab), -1 elsewhere) and the second outcome
-    is beta = a_product / alpha.  The angle's origin is tied to the alpha
-    outcome, which is what makes the product depend only on the separation.
-
-    Consumes exactly two uniform draws, alpha first.
-    """
-    theta_ab = _check_separation(theta_ab)
-    alpha = 1 if rng.random() < 0.5 else -1
-    phi = sample_phi(rng.random())
-    a_product = 1 if phi < theta_ab else -1
-    return SampleRecord(phi=phi, alpha=alpha, beta=a_product * alpha, a_product=a_product)
-
-
 def sample_singlet_batch(theta_ab: float, count: int, rng: np.random.Generator) -> SampleBatch:
-    """Vectorized equivalent of repeated sample_singlet_pair calls.
+    """Draw count entangled-pair outcomes at separation theta_ab.
 
-    Bit-identical to the scalar loop on the same generator state: trial i
-    consumes draws 2i (alpha) and 2i+1 (phi).
+    Each trial's first outcome alpha is a fair coin; the hidden angle phi
+    then fixes the product (+1 on [0, theta_ab), -1 elsewhere) and the
+    second outcome is beta = a_product * alpha.  The angle's origin is tied
+    to the alpha outcome, which is what makes the product depend only on
+    the separation.  Trial i consumes draws 2i (alpha) and 2i+1 (phi).
+
+    This is the readable form of the model; the trial runner tallies the
+    same two bits per trial straight from its chunk of uniforms.
     """
     theta_ab = _check_separation(theta_ab)
     if count < 1:

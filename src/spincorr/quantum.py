@@ -62,10 +62,11 @@ class BlochDirection:
 
     @classmethod
     def from_vector(cls, v) -> "BlochDirection":
-        """Direction along an arbitrary nonzero 3-vector."""
+        """Direction along an arbitrary finite, nonzero 3-vector."""
         v = np.asarray(v, dtype=float).reshape(3)
-        norm = float(np.linalg.norm(v))
-        if norm == 0.0:
+        if not np.all(np.isfinite(v)):
+            raise ValueError(f"cannot build a direction from a non-finite vector, got {v.tolist()}")
+        if float(np.linalg.norm(v)) == 0.0:
             raise ValueError("cannot build a direction from the zero vector")
         x, y, z = v
         return cls(math.atan2(math.hypot(x, y), z), math.atan2(y, x))
@@ -100,13 +101,6 @@ class Spinor:
     def vector(self) -> np.ndarray:
         return np.array([self.up, self.down], dtype=complex)
 
-    def inner(self, other: "Spinor") -> complex:
-        """Hermitian inner product ``<self|other>``."""
-        return complex(np.vdot(self.vector, other.vector))
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.vector))
-
 
 @dataclass(frozen=True, eq=False)
 class BipartiteState:
@@ -127,9 +121,6 @@ class BipartiteState:
     def overlap(self, other: "BipartiteState") -> complex:
         """Hermitian inner product ``<self|other>``."""
         return complex(np.vdot(self.amplitudes, other.amplitudes))
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
 
 
 @dataclass(frozen=True)

@@ -253,6 +253,15 @@ def test_malformed_direction_is_a_usage_error(capsys):
     assert "zenith,azimuth" in err
 
 
+def test_grid_rounding_past_stop_is_clamped(capsys):
+    # 0.3 + 1797 * 0.1 rounds to 180.00000000000003, just past pi once in radians
+    code, out, _ = run_cli(capsys, "sweep", "--grid", "0.3:180:0.1", "--deg", "--n", "10")
+    assert code == 0
+    rows = parse_csv(out)[2]
+    assert len(rows) == 1798
+    assert float(rows[-1][0]) == math.pi
+
+
 def test_bad_grid_arguments(capsys):
     assert run_cli(capsys, "sweep", "--grid", "0:180")[0] == 2
     assert run_cli(capsys, "sweep", "--grid", "10:0:5")[0] == 2

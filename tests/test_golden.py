@@ -48,7 +48,7 @@ _CASES = {
 CASES = {
     f"{name}.{fmt}": (*argv, "--format", fmt) for name, argv in _CASES.items() for fmt in ("csv", "json")
 }
-# 2**20 + 5 trials: past one fixed-size chunk at one (exact) and two (hv, transfer) draws per trial
+# 2**20 + 5 trials: past sixteen fixed-size chunks at one (exact) and two (hv, transfer) draws per trial
 for model in ("hv", "exact", "transfer"):
     CASES[f"sample-{model}-1048581.csv"] = (
         "sample", "--theta-ab", "1.2", "--model", model, "--n", "1048581", "--seed", "3"

@@ -180,6 +180,11 @@ def test_runner_rejects_nonpositive_workers():
         run_series(Z, Z, 10, workers=0)
 
 
+def test_hv_sweep_rejects_a_separation_out_of_range():
+    with pytest.raises(ValueError):
+        harness.run_hv_sweep([4.0], 10)
+
+
 # --- CHSH reports ---
 
 

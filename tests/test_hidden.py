@@ -6,13 +6,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
+from spincorr.harness import CHANNEL_OUTCOMES, _hv_counts
 from spincorr.hidden import (
     HIDDEN_ANGLE,
-    Partition,
     partition_measures,
     sample_phi,
     sample_singlet_batch,
-    sample_singlet_pair,
     single_electron_correlation,
     singlet_correlation_analytic,
 )
@@ -23,14 +22,13 @@ separations = st.floats(0.0, math.pi, allow_nan=False)
 
 
 class FixedDraws:
-    """Generator stand-in returning a scripted sequence of uniforms."""
+    """Generator stand-in returning a scripted block of uniforms."""
 
     def __init__(self, values):
-        self.values = list(values)
+        self.values = np.asarray(values, dtype=float)
 
-    def random(self, size=None):
-        assert size is None
-        return self.values.pop(0)
+    def random(self, size):
+        return self.values.reshape(size)
 
 
 # --- distribution ---
@@ -120,17 +118,15 @@ def test_partition_domain(bad):
 
 
 def test_boundary_angle_belongs_to_minus_region():
-    p = Partition(1.0)
-    assert p.product_sign(1.0) == -1
-    assert p.product_sign(1.0 - 1e-9) == 1
-    assert p.REGION_PRODUCTS == {"minus": -1, "plus": +1}
+    # sample_phi(0.5) is exactly pi/2, so this draw sits on the boundary: alpha=+1, product -1
+    assert sample_phi(0.5) == math.pi / 2
+    assert _hv_counts(math.pi / 2, np.array([[0.25, 0.5]])).tolist() == [1, 0, 0, 0]
 
 
 def test_region_products_weight_the_measures_to_the_correlation():
     theta = 2 * math.pi / 3
-    p = Partition(theta)
-    total = sum(p.REGION_PRODUCTS[name] * p.measures[name] for name in ("minus", "plus"))
-    assert total == pytest.approx(singlet_correlation_analytic(theta), abs=1e-12)
+    minus, plus = partition_measures(theta)
+    assert plus - minus == pytest.approx(singlet_correlation_analytic(theta), abs=1e-12)
 
 
 # --- analytic correlations ---
@@ -160,19 +156,17 @@ def test_analytic_rejects_out_of_range():
 def test_scripted_draw_reproduces_the_worked_example():
     # alpha=+1 and phi=0.2 below the pi/3 boundary: both outcomes come out +1
     u_phi = 0.5 * (1.0 - math.cos(0.2))
-    record = sample_singlet_pair(math.pi / 3, FixedDraws([0.2, u_phi]))
-    assert record.alpha == 1
-    assert record.phi == pytest.approx(0.2, abs=1e-12)
-    assert record.a_product == 1
-    assert record.beta == 1
+    batch = sample_singlet_batch(math.pi / 3, 1, FixedDraws([0.2, u_phi]))
+    assert batch.alpha.tolist() == [1]
+    assert batch.phi[0] == pytest.approx(0.2, abs=1e-12)
+    assert batch.a_product.tolist() == [1]
+    assert batch.beta.tolist() == [1]
 
 
 def test_record_product_identity():
-    rng = substream(77)
-    for _ in range(200):
-        record = sample_singlet_pair(1.1, rng)
-        assert record.a_product == record.alpha * record.beta
-        assert 0.0 <= record.phi <= math.pi
+    batch = sample_singlet_batch(1.1, 200, substream(77))
+    assert np.array_equal(batch.a_product, batch.alpha * batch.beta)
+    assert np.all((0.0 <= batch.phi) & (batch.phi <= math.pi))
 
 
 def test_equal_settings_are_perfectly_anticorrelated():
@@ -182,13 +176,26 @@ def test_equal_settings_are_perfectly_anticorrelated():
 
 
 def test_batch_matches_scalar_loop_bit_for_bit():
+    # trial i is the model's rule applied to draws 2i (alpha) and 2i+1 (phi)
     theta, n = 0.8, 500
     batch = sample_singlet_batch(theta, n, substream(19, 4))
-    rng = substream(19, 4)
-    records = [sample_singlet_pair(theta, rng) for _ in range(n)]
-    assert [r.alpha for r in records] == batch.alpha.tolist()
-    assert [r.phi for r in records] == batch.phi.tolist()
-    assert [r.beta for r in records] == batch.beta.tolist()
+    u = substream(19, 4).random(2 * n).tolist()
+    alpha = [1 if u[2 * i] < 0.5 else -1 for i in range(n)]
+    phi = [sample_phi(u[2 * i + 1]) for i in range(n)]
+    beta = [a * (1 if p < theta else -1) for a, p in zip(alpha, phi)]
+    assert alpha == batch.alpha.tolist()
+    assert phi == batch.phi.tolist()
+    assert beta == batch.beta.tolist()
+
+
+@pytest.mark.parametrize("theta", [0.0, 1e-9, 0.3, 1.0, math.pi / 2, 2.5, math.pi - 1e-12, math.pi])
+def test_hv_kernel_tallies_the_batch_channels(theta):
+    # the runner's kernel on a chunk of uniforms against the readable model on the same draws
+    n = 100_003
+    batch = sample_singlet_batch(theta, n, substream(29, 2))
+    outcomes = list(zip(batch.alpha.tolist(), batch.beta.tolist()))
+    tally = [outcomes.count(pair) for pair in CHANNEL_OUTCOMES]
+    assert _hv_counts(theta, substream(29, 2).random((n, 2))).tolist() == tally
 
 
 def test_sampled_mean_product_tracks_the_analytic_curve():
