@@ -4,7 +4,6 @@ CHSH experiment harness with reproducible counter-based randomness."""
 __version__ = "0.1.0"
 
 from .harness import (
-    CHANNEL_OUTCOMES,
     CHSH_SIGNS,
     ChshReport,
     PairResult,
@@ -26,9 +25,8 @@ from .hidden import (
 )
 from .quantum import (
     CHANNEL_EIGENVALUES,
-    BipartiteState,
+    CHANNEL_OUTCOMES,
     BlochDirection,
-    Spinor,
     channel_states,
     channel_weights,
     correlation_exact,
@@ -44,7 +42,6 @@ from .streams import substream
 
 __all__ = [
     "__version__",
-    "BipartiteState",
     "BlochDirection",
     "CHANNEL_EIGENVALUES",
     "CHANNEL_OUTCOMES",
@@ -53,7 +50,6 @@ __all__ = [
     "HIDDEN_ANGLE",
     "PairResult",
     "SettingSeries",
-    "Spinor",
     "canonical_settings",
     "channel_states",
     "channel_weights",

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 from . import __version__
 from .harness import (
-    CHANNEL_OUTCOMES,
     SettingSeries,
     canonical_settings,
     estimate_correlation,
@@ -28,7 +27,13 @@ from .harness import (
     run_series,
 )
 from .hidden import _check_separation, single_electron_correlation, singlet_correlation_analytic
-from .quantum import BlochDirection, correlation_exact, decompose_eigenbasis, decompose_intermediate
+from .quantum import (
+    CHANNEL_OUTCOMES,
+    BlochDirection,
+    correlation_exact,
+    decompose_eigenbasis,
+    decompose_intermediate,
+)
 from .streams import _U64_MAX
 
 PAIR_LABELS = ("ab", "ab_prime", "a_prime_b", "a_prime_b_prime")
@@ -53,12 +58,8 @@ class RunConfig:
     out: str | None
     format: str
     workers: int
-    theta_ab: float | None = None
-    a: BlochDirection | None = None
-    b: BlochDirection | None = None
+    settings: tuple[BlochDirection, ...] = ()  # (a, b); (a, a', b, b') for chsh; empty for sweep
     r: BlochDirection | None = None
-    a_prime: BlochDirection | None = None
-    b_prime: BlochDirection | None = None
     grid: tuple[float, ...] | None = None
     grid_text: str | None = None
     single_electron: bool = False
@@ -73,14 +74,16 @@ class Report:
     rows: tuple[tuple, ...]
 
 
+def _unsigned(value):
+    """A float zero without its sign (-0.0 + 0.0 is 0.0); both renderers pass every cell here."""
+    return value + 0.0 if isinstance(value, float) else value
+
+
 def _fmt(value) -> str:
+    value = _unsigned(value)
     if value is None:
         return ""
-    if isinstance(value, float):
-        if value == 0.0:
-            value = 0.0
-        return format(value, ".17g")
-    return str(value)
+    return format(value, ".17g") if isinstance(value, float) else str(value)
 
 
 def render_csv(report: Report) -> str:
@@ -92,9 +95,9 @@ def render_csv(report: Report) -> str:
 
 def render_json(report: Report) -> str:
     doc = {
-        "metadata": report.metadata,
+        "metadata": {key: _unsigned(value) for key, value in report.metadata.items()},
         "columns": list(report.columns),
-        "rows": [list(row) for row in report.rows],
+        "rows": [list(map(_unsigned, row)) for row in report.rows],
     }
     return json.dumps(doc, indent=2) + "\n"
 
@@ -116,19 +119,9 @@ def _direction_metadata(meta: dict, label: str, d: BlochDirection) -> None:
     meta[f"{label}_phi"] = d.phi
 
 
-def _resolve_pair(config: RunConfig) -> tuple[BlochDirection, BlochDirection]:
-    if config.theta_ab is not None:
-        if config.a is not None or config.b is not None:
-            raise ValueError("give either --theta-ab or both --a and --b, not both")
-        return BlochDirection(0.0), BlochDirection(config.theta_ab)
-    if config.a is None or config.b is None:
-        raise ValueError("need --theta-ab, or both --a and --b")
-    return config.a, config.b
-
-
 def cmd_exact(config: RunConfig) -> Report:
     """Closed-form correlation plus the channel tables for one setting pair."""
-    a, b = _resolve_pair(config)
+    a, b = config.settings
     meta = _base_metadata(config, "quantum-exact")
     _direction_metadata(meta, "a", a)
     _direction_metadata(meta, "b", b)
@@ -149,7 +142,7 @@ def cmd_exact(config: RunConfig) -> Report:
 
 def cmd_weights(config: RunConfig) -> Report:
     """Eigenbasis channel weights and eigenvalues for one setting pair."""
-    a, b = _resolve_pair(config)
+    a, b = config.settings
     breakdown = decompose_eigenbasis(a, b)
     meta = _base_metadata(config, "quantum-exact")
     _direction_metadata(meta, "a", a)
@@ -162,7 +155,7 @@ def cmd_weights(config: RunConfig) -> Report:
 
 def cmd_sample(config: RunConfig) -> Report:
     """One coincidence series at a single setting pair."""
-    a, b = _resolve_pair(config)
+    a, b = config.settings
     model = SAMPLE_MODELS[config.model]
     series = run_series(a, b, config.n, model, config.seed, workers=config.workers)
     estimate, std_error = estimate_correlation(series)
@@ -181,18 +174,9 @@ def cmd_sample(config: RunConfig) -> Report:
     return Report(metadata=meta, columns=columns, rows=rows)
 
 
-def _resolve_quadruple(config: RunConfig):
-    supplied = (config.a, config.a_prime, config.b, config.b_prime)
-    if all(d is None for d in supplied):
-        return canonical_settings()
-    if any(d is None for d in supplied):
-        raise ValueError("chsh needs all of --a, --a-prime, --b, --b-prime, or none of them")
-    return supplied
-
-
 def cmd_chsh(config: RunConfig) -> Report:
     """Four-setting CHSH run for the chosen model."""
-    a, a_prime, b, b_prime = _resolve_quadruple(config)
+    a, a_prime, b, b_prime = config.settings
     model = CHSH_MODELS[config.model]
     report = run_chsh(a, a_prime, b, b_prime, config.n, model, config.seed, workers=config.workers)
 
@@ -237,8 +221,6 @@ def cmd_chsh(config: RunConfig) -> Report:
 
 def cmd_sweep(config: RunConfig) -> Report:
     """Correlation curves over a separation grid: exact, analytic, and sampled."""
-    if config.grid is None:
-        raise ValueError("sweep needs --grid start:stop:step")
     mode = "single-electron" if config.single_electron else "singlet"
     meta = _base_metadata(config, "hv")
     meta["mode"] = mode
@@ -252,9 +234,9 @@ def cmd_sweep(config: RunConfig) -> Report:
     rows = []
     for theta, (a, b), counts in zip(config.grid, settings, tallies):
         estimate, std_error = estimate_correlation(SettingSeries(a=a, b=b, counts=counts))
-        # Flipped region signs negate the estimate; 0.0 - x keeps a zero unsigned.
+        # Flipped region signs negate the estimate.
         if config.single_electron:
-            curves = (math.cos(theta), single_electron_correlation(theta), 0.0 - estimate)
+            curves = (math.cos(theta), single_electron_correlation(theta), -estimate)
         else:
             curves = (correlation_exact(a, b), singlet_correlation_analytic(theta), estimate)
         rows.append((theta, *curves, std_error))
@@ -380,7 +362,24 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     theta_ab = getattr(args, "theta_ab", None)
     if theta_ab is not None:
         theta_ab = _check_separation(theta_ab * conv)
+    a, b, r, a_prime, b_prime = map(direction, ("--a", "--b", "--r", "--a-prime", "--b-prime"))
     grid_text = getattr(args, "grid", None)
+    grid = None if grid_text is None else _parse_grid(grid_text, conv)
+    settings = ()
+    if args.command == "chsh":
+        settings = (a, a_prime, b, b_prime)
+        if all(d is None for d in settings):
+            settings = canonical_settings()
+        elif any(d is None for d in settings):
+            raise ValueError("chsh needs all of --a, --a-prime, --b, --b-prime, or none of them")
+    elif args.command != "sweep":
+        if theta_ab is not None:
+            if a is not None or b is not None:
+                raise ValueError("give either --theta-ab or both --a and --b, not both")
+            a, b = BlochDirection(0.0), BlochDirection(theta_ab)
+        elif a is None or b is None:
+            raise ValueError("need --theta-ab, or both --a and --b")
+        settings = a, b
     return RunConfig(
         command=args.command,
         unit=unit,
@@ -390,13 +389,9 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         out=args.out,
         format=args.format,
         workers=args.workers,
-        theta_ab=theta_ab,
-        a=direction("--a"),
-        b=direction("--b"),
-        r=direction("--r"),
-        a_prime=direction("--a-prime"),
-        b_prime=direction("--b-prime"),
-        grid=None if grid_text is None else _parse_grid(grid_text, conv),
+        settings=settings,
+        r=r,
+        grid=grid,
         grid_text=grid_text,
         single_electron=getattr(args, "single_electron", False),
     )

@@ -25,8 +25,6 @@ from .hidden import _check_separation, sample_phi
 from .quantum import CHANNEL_EIGENVALUES, BlochDirection, channel_weights, correlation_exact
 from .streams import substream
 
-CHANNEL_OUTCOMES = ((1, -1), (-1, 1), (1, 1), (-1, -1))
-
 CHSH_SIGNS = (1, -1, 1, 1)
 
 # Only the transfer baseline shares each trial across setting pairs.
@@ -40,7 +38,7 @@ CHUNK_TRIALS = 1 << 16
 class SettingSeries:
     """Tallies of one coincidence series at a fixed setting pair.
 
-    Channels are ordered by outcome pair: (+,-), (-,+), (+,+), (-,-).
+    Channels are in the order of ``quantum.CHANNEL_OUTCOMES``.
     """
 
     a: BlochDirection
@@ -106,7 +104,7 @@ def canonical_settings() -> tuple[BlochDirection, BlochDirection, BlochDirection
 def _bin_channels(alpha_minus: np.ndarray, product_plus: np.ndarray) -> np.ndarray:
     """Channel tallies from two sign bits per trial: side 1 negative, product positive.
 
-    This fixes the channel order (+,-), (-,+), (+,+), (-,-) for every kernel.
+    Bin 2 * product_plus + alpha_minus is the channel's place in CHANNEL_OUTCOMES.
     """
     return np.bincount(2 * product_plus + alpha_minus, minlength=4)
 
@@ -129,28 +127,32 @@ def _run(jobs, workers: int) -> list[np.ndarray]:
     the ``(count, draws_per_trial)`` block of uniforms at offset
     draws_per_trial * lo, and ``kernel(u)`` tallies its trials, so the counts
     do not depend on the chunking.  All jobs share one pool; each thread
-    takes a strided share of the chunks and keeps its own totals.
+    walks a strided share of the chunks, listed job by job, and keeps its own
+    totals.  No list of chunks is built, so memory does not grow with n.
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
     if any(n < 1 for _, _, n, _, _ in jobs):
         raise ValueError("series length must be at least 1")
-    items = [(j, lo) for j, (_, _, n, _, _) in enumerate(jobs) for lo in range(0, n, CHUNK_TRIALS)]
+    chunks = [-(-n // CHUNK_TRIALS) for _, _, n, _, _ in jobs]
 
-    def work(share) -> list:
+    def work(first: int, step: int) -> list:
+        """Totals of chunks first, first + step, ... in the job-by-job listing."""
         totals = [0] * len(jobs)
-        for j, lo in share:
-            seed, stream, n, d, kernel = jobs[j]
-            u = substream(seed, stream, draw_offset=d * lo).random((min(CHUNK_TRIALS, n - lo), d))
-            totals[j] += kernel(u)
+        for j, (seed, stream, n, d, kernel) in enumerate(jobs):
+            for lo in range(first * CHUNK_TRIALS, n, step * CHUNK_TRIALS):
+                rng = substream(seed, stream, draw_offset=d * lo)
+                u = rng.random((min(CHUNK_TRIALS, n - lo), d))
+                totals[j] += kernel(u)
+            first = (first - chunks[j]) % step
         return totals
 
-    threads = min(workers, os.cpu_count() or 1, len(items))
+    threads = min(workers, os.cpu_count() or 1, sum(chunks))
     if threads <= 1:
-        parts = [work(items)]
+        parts = [work(0, 1)]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(work, [items[k::threads] for k in range(threads)]))
+            parts = list(pool.map(work, range(threads), [threads] * threads))
     return [sum(part[j] for part in parts) for j in range(len(jobs))]
 
 

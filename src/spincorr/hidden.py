@@ -40,7 +40,7 @@ class HiddenAngleDistribution:
 
     def inverse_cdf(self, u):
         u = np.asarray(u, dtype=float)
-        if np.any((u < 0.0) | (u > 1.0)):
+        if not np.all((u >= 0.0) & (u <= 1.0)):  # NaN fails too
             raise ValueError("uniform input must lie in [0, 1]")
         out = np.arccos(np.clip(1.0 - 2.0 * u, -1.0, 1.0))
         return float(out) if out.ndim == 0 else out
@@ -78,7 +78,7 @@ def singlet_correlation_analytic(theta_ab):
     a scalar or an array of separations, all required to lie in [0, pi].
     """
     theta_ab = np.asarray(theta_ab, dtype=float)
-    if np.any((theta_ab < 0.0) | (theta_ab > math.pi)):
+    if not np.all((theta_ab >= 0.0) & (theta_ab <= math.pi)):  # NaN fails too
         raise ValueError("separation angle must lie in [0, pi]")
     out = -np.cos(theta_ab)
     return float(out) if out.ndim == 0 else out

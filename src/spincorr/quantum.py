@@ -11,8 +11,9 @@ correlation ``<(sigma.a)(x)(sigma.b)>``:
   projections, whose nonnegative weights sum to one and combine with the
   eigenvalues ``+/-1`` to give the correlation.
 
-Everything here is a pure function of its inputs; all values are immutable
-after construction.
+Everything here is a pure function of its inputs.  States are read-only
+complex arrays: a spinor over ``(|+z>, |-z>)``, a two-spin state over the
+product basis ``(++, +-, -+, --)``.
 """
 
 from __future__ import annotations
@@ -25,13 +26,23 @@ import numpy as np
 
 _TAU = 2.0 * math.pi
 
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-IDENTITY_2 = np.eye(2, dtype=complex)
-for _m in (PAULI_X, PAULI_Y, PAULI_Z, IDENTITY_2):
-    _m.setflags(write=False)
-del _m
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
+PAULI_X = _frozen(np.array([[0, 1], [1, 0]], dtype=complex))
+PAULI_Y = _frozen(np.array([[0, -1j], [1j, 0]], dtype=complex))
+PAULI_Z = _frozen(np.array([[1, 0], [0, -1]], dtype=complex))
+IDENTITY_2 = _frozen(np.eye(2, dtype=complex))
+
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+_SINGLET = _frozen(np.array([0.0, _INV_SQRT2, -_INV_SQRT2, 0.0], dtype=complex))
+
+# Outcome pair (alpha, beta) of each channel; every channel table and tally uses this order.
+CHANNEL_OUTCOMES = ((1, -1), (-1, 1), (1, 1), (-1, -1))
+CHANNEL_EIGENVALUES = tuple(alpha * beta for alpha, beta in CHANNEL_OUTCOMES)
 
 
 @dataclass(frozen=True)
@@ -91,39 +102,6 @@ class BlochDirection:
 
 
 @dataclass(frozen=True)
-class Spinor:
-    """Single spin-1/2 state as amplitudes over the z basis ``(|+z>, |-z>)``."""
-
-    up: complex
-    down: complex
-
-    @property
-    def vector(self) -> np.ndarray:
-        return np.array([self.up, self.down], dtype=complex)
-
-
-@dataclass(frozen=True, eq=False)
-class BipartiteState:
-    """Two spin-1/2 state over the product z basis, ordered ``(++, +-, -+, --)``."""
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        amps = np.array(self.amplitudes, dtype=complex).reshape(4)
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
-
-    @classmethod
-    def from_product(cls, first: Spinor, second: Spinor) -> "BipartiteState":
-        """Tensor product ``first (x) second``; amplitude ``(i, j)`` is ``first_i * second_j``."""
-        return cls(np.kron(first.vector, second.vector))
-
-    def overlap(self, other: "BipartiteState") -> complex:
-        """Hermitian inner product ``<self|other>``."""
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
-
-@dataclass(frozen=True)
 class ChannelTerm:
     """One channel of a correlation decomposition.
 
@@ -145,23 +123,22 @@ class CorrelationBreakdown:
     total: float
 
 
-def singlet() -> BipartiteState:
+def singlet() -> np.ndarray:
     """The two-spin singlet state, ``(|+-> - |-+>)/sqrt(2)`` in the z product basis."""
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    return BipartiteState(np.array([0.0, inv_sqrt2, -inv_sqrt2, 0.0], dtype=complex))
+    return _SINGLET
 
 
-def spin_eigenbasis(n: BlochDirection) -> tuple[Spinor, Spinor]:
-    """Orthonormal eigenspinors of the spin projection along ``n``.
+def spin_eigenbasis(n: BlochDirection) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal eigenspinors of the spin projection along ``n``, over ``(|+z>, |-z>)``.
 
     Returns ``(plus, minus)`` with eigenvalues ``+1`` and ``-1``.
     """
     cos_half = math.cos(n.theta / 2.0)
     sin_half = math.sin(n.theta / 2.0)
     phase = complex(math.cos(n.phi), math.sin(n.phi))
-    plus = Spinor(complex(cos_half), phase * sin_half)
-    minus = Spinor(-phase.conjugate() * sin_half, complex(cos_half))
-    return plus, minus
+    plus = np.array([cos_half, phase * sin_half], dtype=complex)
+    minus = np.array([-phase.conjugate() * sin_half, cos_half], dtype=complex)
+    return _frozen(plus), _frozen(minus)
 
 
 def spin_projection(n: BlochDirection) -> np.ndarray:
@@ -181,39 +158,26 @@ def correlation_exact(a: BlochDirection, b: BlochDirection) -> float:
     Equals ``-a . b`` for any pair of directions; the value is computed from
     the matrix expectation rather than that closed form.
     """
-    psi = singlet().amplitudes
-    return float(np.vdot(psi, joint_projection(a, b) @ psi).real)
+    return float(np.vdot(_SINGLET, joint_projection(a, b) @ _SINGLET).real)
 
 
-def product_states(r: BlochDirection) -> tuple[BipartiteState, ...]:
-    """The four product states of the ``+/-r`` spinors, ordered ``(+-, -+, ++, --)``."""
-    plus, minus = spin_eigenbasis(r)
-    return (
-        BipartiteState.from_product(plus, minus),
-        BipartiteState.from_product(minus, plus),
-        BipartiteState.from_product(plus, plus),
-        BipartiteState.from_product(minus, minus),
-    )
+def channel_states(a: BlochDirection, b: BlochDirection) -> tuple[np.ndarray, ...]:
+    """Joint eigenstates of the two spin projections, in the order of ``CHANNEL_OUTCOMES``.
 
-
-def channel_states(a: BlochDirection, b: BlochDirection) -> tuple[BipartiteState, ...]:
-    """Joint eigenstates of the two spin projections, ordered ``(+-, -+, ++, --)``.
-
-    The first index is the eigenvalue sign along ``a`` (particle 1), the
-    second along ``b`` (particle 2); the product of the signs is the
-    eigenvalue of the joint projection on that state.
+    The channel with outcomes ``(alpha, beta)`` is the product of the
+    ``alpha`` eigenspinor along ``a`` (particle 1) and the ``beta`` one along
+    ``b`` (particle 2); its joint eigenvalue is ``alpha * beta``.
     """
-    plus_a, minus_a = spin_eigenbasis(a)
-    plus_b, minus_b = spin_eigenbasis(b)
-    return (
-        BipartiteState.from_product(plus_a, minus_b),
-        BipartiteState.from_product(minus_a, plus_b),
-        BipartiteState.from_product(plus_a, plus_b),
-        BipartiteState.from_product(minus_a, minus_b),
+    basis_a, basis_b = spin_eigenbasis(a), spin_eigenbasis(b)
+    # index 0 of an eigenbasis is the +1 eigenspinor, index 1 the -1 one
+    return tuple(
+        _frozen(np.kron(basis_a[alpha < 0], basis_b[beta < 0])) for alpha, beta in CHANNEL_OUTCOMES
     )
 
 
-CHANNEL_EIGENVALUES = (-1, -1, +1, +1)
+def product_states(r: BlochDirection) -> tuple[np.ndarray, ...]:
+    """The four product states of the ``+/-r`` spinors, in the order of ``CHANNEL_OUTCOMES``."""
+    return channel_states(r, r)
 
 
 def decompose_intermediate(
@@ -227,12 +191,10 @@ def decompose_intermediate(
     channels are complex conjugates of each other, and the four weights sum
     to the (real) correlation for every choice of ``r``.
     """
-    psi = singlet().amplitudes
-    left = np.kron(spin_projection(a), IDENTITY_2) @ psi
-    right = np.kron(IDENTITY_2, spin_projection(b)) @ psi
+    left = np.kron(spin_projection(a), IDENTITY_2) @ _SINGLET
+    right = np.kron(IDENTITY_2, spin_projection(b)) @ _SINGLET
     terms = []
-    for k, state in enumerate(product_states(r), start=1):
-        amp = state.amplitudes
+    for k, amp in enumerate(product_states(r), start=1):
         weight = complex(np.vdot(left, amp) * np.vdot(amp, right))
         terms.append(ChannelTerm(index=k, weight=weight))
     total = sum(t.weight for t in terms)
@@ -243,14 +205,13 @@ def decompose_eigenbasis(a: BlochDirection, b: BlochDirection) -> CorrelationBre
     """Split the singlet correlation over the joint eigenstates of the projections.
 
     Channel weights are squared overlaps of the singlet with the four joint
-    eigenstates; they are nonnegative, sum to one, and weight the channel
-    eigenvalues ``(-1, -1, +1, +1)`` in the total.
+    eigenstates; they are nonnegative, sum to one, and weight the
+    ``CHANNEL_EIGENVALUES`` in the total.
     """
-    psi0 = singlet()
     terms = []
     total = 0.0
     for k, (state, eig) in enumerate(zip(channel_states(a, b), CHANNEL_EIGENVALUES), start=1):
-        weight = abs(state.overlap(psi0)) ** 2
+        weight = abs(complex(np.vdot(state, _SINGLET))) ** 2
         terms.append(ChannelTerm(index=k, weight=weight, eigenvalue=eig))
         total += eig * weight
     return CorrelationBreakdown("eigenbasis", tuple(terms), total)

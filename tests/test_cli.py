@@ -163,16 +163,25 @@ def test_chsh_explicit_settings_must_be_complete(capsys):
     assert "a-prime" in err
 
 
+def csv_cell(value):
+    """How the CSV renderer writes a JSON value; a signed zero writes as -0."""
+    if value is None:
+        return ""
+    return format(value, ".17g") if isinstance(value, float) else str(value)
+
+
 def test_json_mirrors_csv_content(capsys):
-    base = ("weights", "--theta-ab", "30", "--deg", "--seed", "3")
-    _, csv_out, _ = run_cli(capsys, *base)
-    _, json_out, _ = run_cli(capsys, *base, "--format", "json")
-    meta, columns, rows = parse_csv(csv_out)
-    doc = json.loads(json_out)
-    assert doc["columns"] == columns
-    assert set(doc["metadata"]) == set(meta)
-    for csv_row, json_row in zip(rows, doc["rows"]):
-        assert float(csv_row[1]) == pytest.approx(json_row[1], abs=0.0)
+    for base in (
+        ("weights", "--theta-ab", "30", "--deg", "--seed", "3"),
+        ("exact", "--theta-ab", "90", "--deg", "--r", "180,0"),  # intermediate imag is -0.0
+    ):
+        _, csv_out, _ = run_cli(capsys, *base)
+        _, json_out, _ = run_cli(capsys, *base, "--format", "json")
+        meta, columns, rows = parse_csv(csv_out)
+        doc = json.loads(json_out)
+        assert doc["columns"] == columns
+        assert {key: csv_cell(value) for key, value in doc["metadata"].items()} == meta
+        assert [[csv_cell(value) for value in row] for row in doc["rows"]] == rows
 
 
 def test_sweep_analytic_columns_agree_everywhere(capsys):
@@ -291,6 +300,7 @@ SETTINGS = ("--a-prime", "90,0", "--b", "45,0", "--b-prime", "135,0", "--deg")
         ("exact", "--theta-ab", "1", "--seed", "-5"),
         ("chsh", "--model", "exact", "--seed", "-5"),
         ("weights", "--theta-ab", "1", "--seed", "18446744073709551616"),
+        ("chsh", "--a", "0,0", "--b", "45,0", "--n", "10"),
     ],
 )
 def test_bad_input_is_a_usage_error(capsys, args):

@@ -1,6 +1,7 @@
 import math
 import os
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -173,6 +174,23 @@ def test_one_pool_serves_every_job(monkeypatch):
     harness.run_hv_sweep([0.1 * k for k in range(30)], 5, seed=1, workers=2)
     threads = min(2, os.cpu_count() or 1)
     assert pools == ([threads, threads] if threads > 1 else [])
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_runner_memory_does_not_grow_with_n(monkeypatch, workers):
+    def no_draws(*args, **kwargs):
+        raise RuntimeError("first chunk reached")
+
+    monkeypatch.setattr(harness, "substream", no_draws)
+    job = (0, 0, 1 << 34, 2, harness._hv_counts)  # 2^18 chunks
+    tracemalloc.start()
+    try:
+        with pytest.raises(RuntimeError, match="first chunk"):
+            harness._run([job], workers)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_runner_rejects_nonpositive_workers():

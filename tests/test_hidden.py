@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
-from spincorr.harness import CHANNEL_OUTCOMES, _hv_counts
+from spincorr.harness import _hv_counts
 from spincorr.hidden import (
     HIDDEN_ANGLE,
     partition_measures,
@@ -15,7 +15,7 @@ from spincorr.hidden import (
     single_electron_correlation,
     singlet_correlation_analytic,
 )
-from spincorr.quantum import BlochDirection, correlation_exact
+from spincorr.quantum import CHANNEL_OUTCOMES, BlochDirection, correlation_exact
 from spincorr.streams import substream
 
 separations = st.floats(0.0, math.pi, allow_nan=False)
@@ -60,7 +60,7 @@ def test_inverse_cdf_endpoints():
     assert sample_phi(0.5) == pytest.approx(math.pi / 2)
 
 
-@pytest.mark.parametrize("bad", [-0.01, 1.01])
+@pytest.mark.parametrize("bad", [-0.01, 1.01, math.nan, np.array([0.5, math.nan])], ids=str)
 def test_inverse_cdf_domain(bad):
     with pytest.raises(ValueError):
         sample_phi(bad)
@@ -148,6 +148,10 @@ def test_analytic_rejects_out_of_range():
         singlet_correlation_analytic(-0.5)
     with pytest.raises(ValueError):
         singlet_correlation_analytic(np.array([0.1, 3.5]))
+    with pytest.raises(ValueError):
+        singlet_correlation_analytic(math.nan)
+    with pytest.raises(ValueError):
+        singlet_correlation_analytic(np.array([0.1, math.nan]))
 
 
 # --- sampling ---

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from spincorr.quantum import (
     CHANNEL_EIGENVALUES,
-    BipartiteState,
+    IDENTITY_2,
+    CHANNEL_OUTCOMES,
     BlochDirection,
-    Spinor,
     channel_states,
     channel_weights,
     correlation_exact,
@@ -120,16 +120,16 @@ def test_projection_is_a_spin_observable(d):
 def test_eigenspinors_have_stated_eigenvalues(d):
     op = spin_projection(d)
     plus, minus = spin_eigenbasis(d)
-    assert np.allclose(op @ plus.vector, plus.vector, atol=1e-12)
-    assert np.allclose(op @ minus.vector, -minus.vector, atol=1e-12)
+    assert np.allclose(op @ plus, plus, atol=1e-12)
+    assert np.allclose(op @ minus, -minus, atol=1e-12)
 
 
 @given(directions)
 def test_eigenspinors_are_orthonormal(d):
     plus, minus = spin_eigenbasis(d)
-    assert np.linalg.norm(plus.vector) == pytest.approx(1.0, abs=1e-12)
-    assert np.linalg.norm(minus.vector) == pytest.approx(1.0, abs=1e-12)
-    assert abs(np.vdot(plus.vector, minus.vector)) < 1e-12
+    assert np.linalg.norm(plus) == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(minus) == pytest.approx(1.0, abs=1e-12)
+    assert abs(np.vdot(plus, minus)) < 1e-12
 
 
 # --- states ---
@@ -137,29 +137,31 @@ def test_eigenspinors_are_orthonormal(d):
 
 def test_singlet_amplitudes():
     inv = 1.0 / math.sqrt(2.0)
-    assert np.allclose(singlet().amplitudes, [0.0, inv, -inv, 0.0], atol=0.0)
-    assert np.linalg.norm(singlet().amplitudes) == pytest.approx(1.0)
+    assert np.allclose(singlet(), [0.0, inv, -inv, 0.0], atol=0.0)
+    assert np.linalg.norm(singlet()) == pytest.approx(1.0)
 
 
 @given(directions)
 def test_singlet_is_the_same_in_every_spin_basis(r):
     # antisymmetric combination of the +/-r product states, including phase
     plus_minus, minus_plus, _, _ = product_states(r)
-    rebuilt = (plus_minus.amplitudes - minus_plus.amplitudes) / math.sqrt(2.0)
-    assert np.allclose(rebuilt, singlet().amplitudes, atol=1e-12)
+    rebuilt = (plus_minus - minus_plus) / math.sqrt(2.0)
+    assert np.allclose(rebuilt, singlet(), atol=1e-12)
 
 
 def test_product_state_amplitude_layout():
-    up = Spinor(1.0, 0.0)
-    down = Spinor(0.0, 1.0)
-    state = BipartiteState.from_product(up, down)
-    assert np.allclose(state.amplitudes, [0.0, 1.0, 0.0, 0.0], atol=0.0)
+    # r along +z: the first channel, outcomes (+1, -1), is |+z>|-z>, amplitude (+-)
+    assert CHANNEL_OUTCOMES[0] == (1, -1)
+    assert np.array_equal(product_states(BlochDirection(0))[0], [0.0, 1.0, 0.0, 0.0])
 
 
 def test_amplitudes_are_immutable():
-    state = singlet()
-    with pytest.raises(ValueError):
-        state.amplitudes[0] = 1.0
+    d, e = BlochDirection(0.3, 1.1), BlochDirection(2.0, 5.0)
+    states = [singlet(), *spin_eigenbasis(d), *channel_states(d, e), *product_states(d)]
+    assert len(states) == 11
+    for state in states:
+        with pytest.raises(ValueError):
+            state[0] = 1.0
 
 
 # --- exact correlation ---
@@ -271,6 +273,7 @@ def test_eigenbasis_total_equals_exact_correlation(a, b):
 
 
 def test_channel_eigenvalue_order():
+    assert CHANNEL_OUTCOMES == ((1, -1), (-1, 1), (1, 1), (-1, -1))
     assert CHANNEL_EIGENVALUES == (-1, -1, 1, 1)
     eigs = [t.eigenvalue for t in decompose_eigenbasis(BlochDirection(0), BlochDirection(1)).channels]
     assert eigs == [-1, -1, 1, 1]
@@ -280,7 +283,7 @@ def test_channel_eigenvalue_order():
 def test_channel_states_resolve_the_identity(a, b):
     total = np.zeros((4, 4), dtype=complex)
     for state in channel_states(a, b):
-        total += np.outer(state.amplitudes, state.amplitudes.conj())
+        total += np.outer(state, state.conj())
     assert np.allclose(total, np.eye(4), atol=1e-12)
 
 
@@ -288,7 +291,16 @@ def test_channel_states_resolve_the_identity(a, b):
 def test_channel_states_diagonalize_the_joint_projection(a, b):
     op = joint_projection(a, b)
     for state, eig in zip(channel_states(a, b), CHANNEL_EIGENVALUES):
-        assert np.allclose(op @ state.amplitudes, eig * state.amplitudes, atol=1e-12)
+        assert np.allclose(op @ state, eig * state, atol=1e-12)
+
+
+@given(directions, directions)
+def test_channel_states_carry_their_outcomes(a, b):
+    side_a = np.kron(spin_projection(a), IDENTITY_2)
+    side_b = np.kron(IDENTITY_2, spin_projection(b))
+    for state, (alpha, beta) in zip(channel_states(a, b), CHANNEL_OUTCOMES):
+        assert np.allclose(side_a @ state, alpha * state, atol=1e-12)
+        assert np.allclose(side_b @ state, beta * state, atol=1e-12)
 
 
 def test_equal_settings_weights():
