@@ -119,15 +119,21 @@ def _direction_metadata(meta: dict, label: str, d: BlochDirection) -> None:
     meta[f"{label}_phi"] = d.phi
 
 
-def cmd_exact(config: RunConfig) -> Report:
-    """Closed-form correlation plus the channel tables for one setting pair."""
+def _pair_metadata(config: RunConfig, model: str) -> dict:
     a, b = config.settings
-    meta = _base_metadata(config, "quantum-exact")
+    meta = _base_metadata(config, model)
     _direction_metadata(meta, "a", a)
     _direction_metadata(meta, "b", b)
     if config.r is not None:
         _direction_metadata(meta, "r", config.r)
     meta["separation"] = a.angle_to(b)
+    return meta
+
+
+def cmd_exact(config: RunConfig) -> Report:
+    """Closed-form correlation plus the channel tables for one setting pair."""
+    a, b = config.settings
+    meta = _pair_metadata(config, "quantum-exact")
     meta["correlation"] = correlation_exact(a, b)
 
     rows = []
@@ -141,16 +147,10 @@ def cmd_exact(config: RunConfig) -> Report:
 
 
 def cmd_weights(config: RunConfig) -> Report:
-    """Eigenbasis channel weights and eigenvalues for one setting pair."""
-    a, b = config.settings
-    breakdown = decompose_eigenbasis(a, b)
-    meta = _base_metadata(config, "quantum-exact")
-    _direction_metadata(meta, "a", a)
-    _direction_metadata(meta, "b", b)
-    meta["separation"] = a.angle_to(b)
-    meta["correlation"] = breakdown.total
-    rows = tuple((t.index, t.weight.real, t.eigenvalue) for t in breakdown.channels)
-    return Report(metadata=meta, columns=("channel", "weight", "eigenvalue"), rows=rows)
+    """:func:`cmd_exact` (weights takes no --r) with its rows cut to channel, weight, eigenvalue."""
+    exact = cmd_exact(config)
+    rows = tuple((channel, weight, eigen) for _, channel, weight, _, eigen in exact.rows)
+    return Report(metadata=exact.metadata, columns=("channel", "weight", "eigenvalue"), rows=rows)
 
 
 def cmd_sample(config: RunConfig) -> Report:
@@ -160,10 +160,7 @@ def cmd_sample(config: RunConfig) -> Report:
     series = run_series(a, b, config.n, model, config.seed, workers=config.workers)
     estimate, std_error = estimate_correlation(series)
 
-    meta = _base_metadata(config, model)
-    _direction_metadata(meta, "a", a)
-    _direction_metadata(meta, "b", b)
-    meta["separation"] = a.angle_to(b)
+    meta = _pair_metadata(config, model)
     meta["estimate"] = estimate
     meta["std_error"] = std_error
     rows = tuple(
@@ -329,8 +326,8 @@ def _parse_direction(text: str, conv: float, flag: str) -> BlochDirection:
 
 def _parse_grid(text: str, conv: float) -> tuple[float, ...]:
     parts = text.split(":")
-    if len(parts) != 3:
-        raise ValueError(f"--grid expects start:stop:step, got {text!r}")
+    if len(parts) != 3 or any(c.isspace() for c in text):
+        raise ValueError(f"--grid expects start:stop:step without whitespace, got {text!r}")
     try:
         start, stop, step = (float(part) for part in parts)
     except ValueError:

@@ -6,9 +6,9 @@ carried over between pairs except in the transfer baseline, which is the
 point of that model.  One trial runner serves every sampled model and is the
 only place that draws: it takes fixed-size chunks of uniforms from
 counter-based generators keyed by (seed, stream) and hands each chunk to the
-model's kernel, which tallies the four channels.  Results are bit-identical
-for a given seed and configuration at any worker count, and memory does not
-grow with the number of trials.
+model's kernel, which tallies the four channels; kernel k of a call draws on
+stream + k.  Results are bit-identical for a given seed and configuration at
+any worker count, and memory does not grow with the number of trials.
 """
 
 from __future__ import annotations
@@ -120,61 +120,58 @@ def _sampler_counts(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.bincount(idx, minlength=4)
 
 
-def _run(jobs, workers: int) -> list[np.ndarray]:
-    """Channel counts of each job ``(seed, stream, n, draws_per_trial, kernel)``.
+def _run(kernels, n: int, draws: int, seed: int, stream: int, workers: int) -> list[np.ndarray]:
+    """Channel counts of n trials under each kernel; kernel k draws on stream + k.
 
-    This is the only draw site: the chunk of a job starting at trial lo is
-    the ``(count, draws_per_trial)`` block of uniforms at offset
-    draws_per_trial * lo, and ``kernel(u)`` tallies its trials, so the counts
-    do not depend on the chunking.  All jobs share one pool; each thread
-    walks a strided share of the chunks, listed job by job, and keeps its own
-    totals.  No list of chunks is built, so memory does not grow with n.
+    This is the only draw site: the chunk of kernel k starting at trial lo is
+    the ``(count, draws)`` block of uniforms of substream ``(seed, stream + k)``
+    at offset draws * lo, and ``kernel(u)`` tallies its trials, so the counts
+    do not depend on the chunking.  Thread t of T walks the global chunk
+    indices t, t + T, ..., each split into (kernel, chunk), and keeps its own
+    totals, so no list of chunks is built and memory does not grow with n.
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
-    if any(n < 1 for _, _, n, _, _ in jobs):
+    if n < 1:
         raise ValueError("series length must be at least 1")
-    chunks = [-(-n // CHUNK_TRIALS) for _, _, n, _, _ in jobs]
+    chunks = -(-n // CHUNK_TRIALS)
 
     def work(first: int, step: int) -> list:
-        """Totals of chunks first, first + step, ... in the job-by-job listing."""
-        totals = [0] * len(jobs)
-        for j, (seed, stream, n, d, kernel) in enumerate(jobs):
-            for lo in range(first * CHUNK_TRIALS, n, step * CHUNK_TRIALS):
-                rng = substream(seed, stream, draw_offset=d * lo)
-                u = rng.random((min(CHUNK_TRIALS, n - lo), d))
-                totals[j] += kernel(u)
-            first = (first - chunks[j]) % step
+        totals = [0] * len(kernels)
+        for index in range(first, chunks * len(kernels), step):
+            k, chunk = divmod(index, chunks)
+            lo = chunk * CHUNK_TRIALS
+            rng = substream(seed, stream + k, draw_offset=draws * lo)
+            totals[k] += kernels[k](rng.random((min(CHUNK_TRIALS, n - lo), draws)))
         return totals
 
-    threads = min(workers, os.cpu_count() or 1, sum(chunks))
+    threads = min(workers, os.cpu_count() or 1, chunks * len(kernels))
     if threads <= 1:
         parts = [work(0, 1)]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(work, range(threads), [threads] * threads))
-    return [sum(part[j] for part in parts) for j in range(len(jobs))]
+    return [sum(part[k] for part in parts) for k in range(len(kernels))]
 
 
 def _sample(pairs, n: int, model: str, seed: int, stream: int, workers: int) -> list[np.ndarray]:
     """Channel counts of n trials at each setting pair ``(a, b)``.
 
-    "transfer-baseline" evaluates every pair on the same trials, one job on
+    "transfer-baseline" evaluates every pair on the same trials, one kernel on
     stream; the other models give pair k fresh trials on stream + k.
     """
-    if model not in SAMPLED_MODELS:
-        raise ValueError(f"unknown model {model!r}; the sampled models are {SAMPLED_MODELS}")
     if model == "transfer-baseline":
-        (counts,) = _run([(seed, stream, n, 2, partial(_transfer_counts, pairs))], workers)
+        (counts,) = _run([partial(_transfer_counts, pairs)], n, 2, seed, stream, workers)
         return list(counts)
-    jobs = []
-    for k, (a, b) in enumerate(pairs):
-        if model == "hv":
-            kernel = 2, partial(_hv_counts, _check_separation(a.angle_to(b)))
-        else:
-            kernel = 1, partial(_sampler_counts, np.cumsum(channel_weights(a, b)))
-        jobs.append((seed, stream + k, n, *kernel))
-    return _run(jobs, workers)
+    if model == "hv":
+        separations = [a.angle_to(b) for a, b in pairs]
+        draws, kernels = 2, [partial(_hv_counts, _check_separation(t)) for t in separations]
+    elif model == "quantum-sampler":
+        cumulative = [np.cumsum(channel_weights(a, b)) for a, b in pairs]
+        draws, kernels = 1, [partial(_sampler_counts, cum) for cum in cumulative]
+    else:
+        raise ValueError(f"unknown model {model!r}; the sampled models are {SAMPLED_MODELS}")
+    return _run(kernels, n, draws, seed, stream, workers)
 
 
 def run_series(
@@ -202,9 +199,8 @@ def run_series(
 
 def run_hv_sweep(separations, n: int, seed: int = 0, *, workers: int = 1) -> list[tuple[int, ...]]:
     """hv channel counts of n trials at each separation angle, point i on stream i."""
-    thetas = [_check_separation(theta) for theta in separations]
-    jobs = [(seed, i, n, 2, partial(_hv_counts, theta)) for i, theta in enumerate(thetas)]
-    return [tuple(counts) for counts in _run(jobs, workers)]
+    kernels = [partial(_hv_counts, _check_separation(t)) for t in separations]
+    return [tuple(counts) for counts in _run(kernels, n, 2, seed, 0, workers)]
 
 
 def estimate_correlation(series: SettingSeries) -> tuple[float, float]:

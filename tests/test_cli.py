@@ -81,6 +81,16 @@ def test_weights_command(capsys):
     assert float(meta["correlation"]) == pytest.approx(0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "pair", [("--theta-ab", "1.1"), ("--a", "10,20", "--b", "100,-30", "--deg")], ids=["theta", "pair"]
+)
+def test_weights_and_exact_print_the_same_correlation(capsys, pair):
+    exact = parse_csv(run_cli(capsys, "exact", *pair)[1])[0]
+    weights = parse_csv(run_cli(capsys, "weights", *pair)[1])[0]
+    assert weights["correlation"] == exact["correlation"]
+    assert {**weights, "command": "exact"} == exact
+
+
 def test_sample_counts_sum_to_n(capsys):
     code, out, _ = run_cli(capsys, "sample", "--theta-ab", "1.0", "--n", "20000", "--seed", "5")
     assert code == 0
@@ -301,6 +311,7 @@ SETTINGS = ("--a-prime", "90,0", "--b", "45,0", "--b-prime", "135,0", "--deg")
         ("chsh", "--model", "exact", "--seed", "-5"),
         ("weights", "--theta-ab", "1", "--seed", "18446744073709551616"),
         ("chsh", "--a", "0,0", "--b", "45,0", "--n", "10"),
+        ("sweep", "--grid", "0:1:\n0.5", "--n", "10"),
     ],
 )
 def test_bad_input_is_a_usage_error(capsys, args):

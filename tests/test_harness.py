@@ -21,7 +21,7 @@ from spincorr.harness import (
     transfer_correlation_analytic,
 )
 from spincorr.quantum import BlochDirection
-from spincorr.streams import BLOCK_DRAWS
+from spincorr.streams import BLOCK_DRAWS, substream
 
 Z = BlochDirection(0.0)
 
@@ -176,17 +176,42 @@ def test_one_pool_serves_every_job(monkeypatch):
     assert pools == ([threads, threads] if threads > 1 else [])
 
 
+@pytest.mark.parametrize("draws", [1, 2])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_runner_hands_each_kernel_its_stream_chunks_once(monkeypatch, workers, draws):
+    monkeypatch.setattr(harness, "CHUNK_TRIALS", 8)
+    n, seed, stream = 29, 11, 5
+    received = [[], [], []]
+
+    def recorder(k):
+        def kernel(u):
+            received[k].append(u.copy())
+            return np.array([len(u), 0, 0, 0])
+
+        return kernel
+
+    counts = harness._run([recorder(k) for k in range(3)], n, draws, seed, stream, workers)
+    assert [c.tolist() for c in counts] == [[n, 0, 0, 0]] * 3
+    for k, chunks in enumerate(received):
+        expected = [
+            substream(seed, stream + k, draw_offset=draws * lo).random((min(8, n - lo), draws))
+            for lo in range(0, n, 8)
+        ]
+        assert len(chunks) == len(expected)
+        for want in expected:
+            assert sum(np.array_equal(got, want) for got in chunks) == 1
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_runner_memory_does_not_grow_with_n(monkeypatch, workers):
     def no_draws(*args, **kwargs):
         raise RuntimeError("first chunk reached")
 
     monkeypatch.setattr(harness, "substream", no_draws)
-    job = (0, 0, 1 << 34, 2, harness._hv_counts)  # 2^18 chunks
     tracemalloc.start()
     try:
         with pytest.raises(RuntimeError, match="first chunk"):
-            harness._run([job], workers)
+            harness._run([harness._hv_counts], 1 << 34, 2, 0, 0, workers)  # 2^18 chunks
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -1,17 +1,21 @@
-"""The README's Python API example runs and states the values it returns.
+"""The README's examples run: each command-line example exits 0, and the
+Python API example states the values it returns.
 
-A top-level expression with a trailing comment is evaluated, and every number
-in its comment must match the value to the digits shown; ``...`` marks a
-truncated number.
+In the Python block, a top-level expression with a trailing comment is
+evaluated, and every number in its comment must match the value to the digits
+shown; ``...`` marks a truncated number.
 """
 
 from __future__ import annotations
 
 import ast
 import re
+import shlex
 from pathlib import Path
 
 import numpy as np
+
+from spincorr.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -20,6 +24,20 @@ NUMBER = re.compile(r"-?\d+(?:\.\d+)?")
 
 def _python_block() -> str:
     return re.search(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S).group(1)
+
+
+def _command_lines() -> list[str]:
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"## Command line\n.*?```sh\n(.*?)```", text, re.S).group(1)
+    return [line for line in block.splitlines() if line.startswith("spincorr ")]
+
+
+def test_readme_command_examples_exit_zero(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # one example writes sweep.csv
+    lines = _command_lines()
+    for line in lines:
+        assert main(shlex.split(line)[1:]) == 0, line
+    assert len(lines) == 8
 
 
 def test_readme_api_example_states_its_values():
