@@ -7,8 +7,12 @@ point of that model.  One trial runner serves every sampled model and is the
 only place that draws: it takes fixed-size chunks of uniforms from
 counter-based generators keyed by (seed, stream) and hands each chunk to the
 model's kernel, which tallies the four channels; kernel k of a call draws on
-stream + k.  Results are bit-identical for a given seed and configuration at
-any worker count, and memory does not grow with the number of trials.
+stream + k.  The hv kernel takes no arccos per trial: it compares each
+hidden-angle draw with one threshold on the generator's 2^-53 lattice,
+precomputed per separation with ``np.arccos`` (the model's ``sample_phi``), so
+it yields the bits of :func:`~spincorr.hidden.sample_singlet_batch`.  Results
+are bit-identical for a given seed and configuration at any worker count, and
+memory does not grow with the number of trials.
 """
 
 from __future__ import annotations
@@ -104,20 +108,62 @@ def canonical_settings() -> tuple[BlochDirection, BlochDirection, BlochDirection
 def _bin_channels(alpha_minus: np.ndarray, product_plus: np.ndarray) -> np.ndarray:
     """Channel tallies from two sign bits per trial: side 1 negative, product positive.
 
-    Bin 2 * product_plus + alpha_minus is the channel's place in CHANNEL_OUTCOMES.
+    A trial's channel sits at place 2 * product_plus + alpha_minus in CHANNEL_OUTCOMES.
     """
-    return np.bincount(2 * product_plus + alpha_minus, minlength=4)
+    minus = np.count_nonzero(alpha_minus)
+    plus = np.count_nonzero(product_plus)
+    both = np.count_nonzero(alpha_minus & product_plus)
+    return np.array([len(alpha_minus) - minus - plus + both, minus - both, plus - both, both])
 
 
-def _hv_counts(theta_ab: float, u: np.ndarray) -> np.ndarray:
-    """Hidden-variable tallies: u[:, 0] picks alpha, u[:, 1] the hidden angle,
-    as in :func:`~spincorr.hidden.sample_singlet_batch`."""
-    return _bin_channels(u[:, 0] >= 0.5, sample_phi(u[:, 1]) < theta_ab)
+# numpy's random() returns m * 2^-53 for an integer m in [0, 2^53).
+_LATTICE = 2.0**-53
+# Lattice steps searched on each side of the closed-form start; over the sweep
+# grid and 20,000 random angles the boundary lay within 2 steps of it.
+_WINDOW = np.arange(-8, 9)
+
+
+def _plus_thresholds(separations) -> list[float]:
+    """Per separation theta, the least draw u on the random() lattice with
+    ``sample_phi(u) >= theta``: the hv product is +1 exactly when the draw lies below it.
+
+    The search starts at floor(sin^2(theta/2) 2^53) and evaluates ``sample_phi``
+    (``np.arccos``, whose last bit can differ from ``math.acos``) on a window of
+    lattice points around it.  1 - 2u is exact on the lattice, so the window
+    must show one plus-then-minus step; anything else raises RuntimeError.  At
+    theta = pi the threshold is 1.0, so every draw is plus.
+    """
+    theta = np.array([_check_separation(t) for t in separations], dtype=float)
+    start = np.floor(np.sin(theta / 2) ** 2 / _LATTICE)
+
+    def point(steps):
+        return np.clip(start + steps, 0.0, 1 / _LATTICE) * _LATTICE
+
+    # one window column at a time keeps the temporaries at one value per separation
+    plus = np.column_stack([sample_phi(point(step)) < theta for step in _WINDOW])
+    clean = (
+        np.all(plus[:, :-1] >= plus[:, 1:], axis=1)
+        & ~plus[:, -1]
+        & (plus[:, 0] | (point(_WINDOW[0]) == 0.0))
+    )
+    if not np.all(clean):
+        raise RuntimeError(f"no clean hv threshold step near separations {theta[~clean].tolist()}")
+    return point(_WINDOW[np.argmin(plus, axis=1)]).tolist()
+
+
+def _hv_counts(threshold: float, u: np.ndarray) -> np.ndarray:
+    """Hidden-variable tallies: u[:, 0] picks alpha and u[:, 1] the hidden angle,
+    as in :func:`~spincorr.hidden.sample_singlet_batch`, where the product is +1
+    when ``sample_phi(u[:, 1]) < theta``; here u[:, 1] is compared with that
+    separation's threshold from :func:`_plus_thresholds`, which gives the same bit."""
+    return _bin_channels(u[:, 0] >= 0.5, u[:, 1] < threshold)
 
 
 def _sampler_counts(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
-    idx = np.minimum(np.searchsorted(cum, u[:, 0], side="right"), 3)
-    return np.bincount(idx, minlength=4)
+    """Quantum-sampler tallies: channel j holds the draws in [cum[j-1], cum[j]),
+    the last one everything from cum[2] up (cum is nondecreasing)."""
+    above = [np.count_nonzero(u >= c) for c in cum[:3]]
+    return -np.diff([len(u), *above, 0])
 
 
 def _run(kernels, n: int, draws: int, seed: int, stream: int, workers: int) -> list[np.ndarray]:
@@ -164,8 +210,8 @@ def _sample(pairs, n: int, model: str, seed: int, stream: int, workers: int) -> 
         (counts,) = _run([partial(_transfer_counts, pairs)], n, 2, seed, stream, workers)
         return list(counts)
     if model == "hv":
-        separations = [a.angle_to(b) for a, b in pairs]
-        draws, kernels = 2, [partial(_hv_counts, _check_separation(t)) for t in separations]
+        thresholds = _plus_thresholds(a.angle_to(b) for a, b in pairs)
+        draws, kernels = 2, [partial(_hv_counts, t) for t in thresholds]
     elif model == "quantum-sampler":
         cumulative = [np.cumsum(channel_weights(a, b)) for a, b in pairs]
         draws, kernels = 1, [partial(_sampler_counts, cum) for cum in cumulative]
@@ -199,7 +245,7 @@ def run_series(
 
 def run_hv_sweep(separations, n: int, seed: int = 0, *, workers: int = 1) -> list[tuple[int, ...]]:
     """hv channel counts of n trials at each separation angle, point i on stream i."""
-    kernels = [partial(_hv_counts, _check_separation(t)) for t in separations]
+    kernels = [partial(_hv_counts, t) for t in _plus_thresholds(separations)]
     return [tuple(counts) for counts in _run(kernels, n, 2, seed, 0, workers)]
 
 

@@ -107,7 +107,9 @@ def sample_singlet_batch(theta_ab: float, count: int, rng: np.random.Generator) 
     the separation.  Trial i consumes draws 2i (alpha) and 2i+1 (phi).
 
     This is the readable form of the model; the trial runner tallies the
-    same two bits per trial straight from its chunk of uniforms.
+    same two bits per trial straight from its chunk of uniforms, with the
+    phi test done as a comparison of the draw with a lattice threshold that
+    it precomputes per separation with this ``np.arccos`` transform.
     """
     theta_ab = _check_separation(theta_ab)
     if count < 1:

@@ -20,8 +20,11 @@ from spincorr.harness import (
     run_transfer_baseline,
     transfer_correlation_analytic,
 )
-from spincorr.quantum import BlochDirection
+from spincorr.cli import main
+from spincorr.hidden import sample_phi
+from spincorr.quantum import BlochDirection, channel_weights
 from spincorr.streams import BLOCK_DRAWS, substream
+from test_golden import CASES
 
 Z = BlochDirection(0.0)
 
@@ -226,6 +229,80 @@ def test_runner_rejects_nonpositive_workers():
 def test_hv_sweep_rejects_a_separation_out_of_range():
     with pytest.raises(ValueError):
         harness.run_hv_sweep([4.0], 10)
+
+
+@pytest.mark.parametrize("bad", [-0.1, math.pi + 0.01, -math.inf, math.nan])
+def test_hv_separation_outside_zero_pi_keeps_its_message(bad):
+    with pytest.raises(ValueError, match=r"^separation angle must lie in \[0, pi\], got"):
+        harness.run_hv_sweep([0.5, bad], 10)
+
+
+# --- kernels ---
+
+
+class _Recorded(Exception):
+    pass
+
+
+def _hv_separations(argv, monkeypatch, out) -> list[float]:
+    """Separations a CLI run hands to the hv threshold search (none for other models)."""
+    seen = []
+
+    def record(separations):
+        seen.extend(separations)
+        raise _Recorded
+
+    with monkeypatch.context() as patch:
+        patch.setattr(harness, "_plus_thresholds", record)
+        try:
+            main([*argv, "--out", str(out)])
+        except _Recorded:
+            pass
+    return seen
+
+
+def test_hv_threshold_splits_the_lattice_where_sample_phi_does(monkeypatch, tmp_path):
+    # the lattice points below the threshold are plus under sample_phi, the rest are not
+    out = tmp_path / "doc"
+    golden = [t for name, argv in CASES.items() if name.endswith(".csv")
+              for t in _hv_separations(argv, monkeypatch, out)]
+    sweep = _hv_separations(("sweep", "--grid", "0:180:0.1", "--deg", "--n", "1"), monkeypatch, out)
+    assert {1.0, 1.2} <= set(golden) and len(sweep) == 1801
+    rand = np.random.default_rng(2026).uniform(0.0, math.pi, 200)
+    theta = np.array([*golden, *sweep, 0.0, 1e-9, math.pi - 1e-12, math.pi, *rand])
+    lattice = 2.0**-53
+    m = np.array(harness._plus_thresholds(theta)) / lattice
+    assert np.array_equal(m, np.floor(m)) and m.min() >= 0.0 and m.max() <= 2.0**53
+    steps = np.arange(-256, 256)
+    points = np.clip(m[:, None] + steps, 0.0, 2.0**53)
+    plus = sample_phi(points * lattice) < theta[:, None]
+    assert np.array_equal(plus, points < m[:, None])
+    assert harness._plus_thresholds([0.0, math.pi / 2, math.pi]) == [0.0, 0.5, 1.0]
+
+
+@pytest.mark.parametrize("window", [range(3, 9), range(-9, -3)], ids=["after", "before"])
+def test_hv_threshold_search_raises_when_the_window_misses_the_step(monkeypatch, window):
+    monkeypatch.setattr(harness, "_WINDOW", np.array(window))
+    with pytest.raises(RuntimeError, match="no clean hv threshold step"):
+        harness._plus_thresholds([0.3, 1.0])
+
+
+# channel weights at 0 and pi hold two zeros each
+SAMPLER_WEIGHTS = [
+    *(channel_weights(Z, coplanar(t)) for t in (0.0, 1e-9, math.pi / 3, math.pi / 2, 2.5, math.pi)),
+    (0.5, 0.0, 0.0, 0.5),
+    (0.0, 0.0, 0.0, 1.0),
+    (1.0, 0.0, 0.0, 0.0),
+    (0.0, 0.7, 0.3, 0.0),
+]
+
+
+@pytest.mark.parametrize("weights", SAMPLER_WEIGHTS)
+def test_sampler_kernel_matches_searchsorted(weights):
+    cum = np.cumsum(weights)
+    u = np.concatenate([substream(31).random(10_000), cum, [0.0, np.nextafter(1.0, 0.0)]])[:, None]
+    reference = np.bincount(np.minimum(np.searchsorted(cum, u[:, 0], side="right"), 3), minlength=4)
+    assert harness._sampler_counts(cum, u).tolist() == reference.tolist()
 
 
 # --- CHSH reports ---

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
-from spincorr.harness import _hv_counts
+from spincorr.harness import _hv_counts, _plus_thresholds
 from spincorr.hidden import (
     HIDDEN_ANGLE,
     partition_measures,
@@ -19,6 +19,12 @@ from spincorr.quantum import CHANNEL_OUTCOMES, BlochDirection, correlation_exact
 from spincorr.streams import substream
 
 separations = st.floats(0.0, math.pi, allow_nan=False)
+
+
+def hv_kernel_counts(theta, u):
+    """The runner's hv kernel at separation theta, built as the runner builds it."""
+    (threshold,) = _plus_thresholds([theta])
+    return _hv_counts(threshold, u)
 
 
 class FixedDraws:
@@ -120,7 +126,7 @@ def test_partition_domain(bad):
 def test_boundary_angle_belongs_to_minus_region():
     # sample_phi(0.5) is exactly pi/2, so this draw sits on the boundary: alpha=+1, product -1
     assert sample_phi(0.5) == math.pi / 2
-    assert _hv_counts(math.pi / 2, np.array([[0.25, 0.5]])).tolist() == [1, 0, 0, 0]
+    assert hv_kernel_counts(math.pi / 2, np.array([[0.25, 0.5]])).tolist() == [1, 0, 0, 0]
 
 
 def test_region_products_weight_the_measures_to_the_correlation():
@@ -199,7 +205,7 @@ def test_hv_kernel_tallies_the_batch_channels(theta):
     batch = sample_singlet_batch(theta, n, substream(29, 2))
     outcomes = list(zip(batch.alpha.tolist(), batch.beta.tolist()))
     tally = [outcomes.count(pair) for pair in CHANNEL_OUTCOMES]
-    assert _hv_counts(theta, substream(29, 2).random((n, 2))).tolist() == tally
+    assert hv_kernel_counts(theta, substream(29, 2).random((n, 2))).tolist() == tally
 
 
 def test_sampled_mean_product_tracks_the_analytic_curve():
