@@ -11,6 +11,7 @@ from .harness import (
     canonical_settings,
     estimate_correlation,
     run_chsh,
+    run_pairs,
     run_series,
     run_transfer_baseline,
     transfer_correlation_analytic,
@@ -61,6 +62,7 @@ __all__ = [
     "partition_measures",
     "product_states",
     "run_chsh",
+    "run_pairs",
     "run_series",
     "run_transfer_baseline",
     "sample_phi",

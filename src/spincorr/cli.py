@@ -18,14 +18,7 @@ import sys
 from dataclasses import dataclass
 
 from . import __version__
-from .harness import (
-    SettingSeries,
-    canonical_settings,
-    estimate_correlation,
-    run_chsh,
-    run_hv_sweep,
-    run_series,
-)
+from .harness import canonical_settings, estimate_correlation, run_chsh, run_pairs, run_series
 from .hidden import _check_separation, single_electron_correlation, singlet_correlation_analytic
 from .quantum import (
     CHANNEL_OUTCOMES,
@@ -224,13 +217,11 @@ def cmd_sweep(config: RunConfig) -> Report:
     meta["grid"] = config.grid_text
 
     settings = [(BlochDirection(0.0), BlochDirection(theta)) for theta in config.grid]
-    # The single spin is sampled at the grid angle, the pair at its axes' separation.
-    separations = config.grid if config.single_electron else [a.angle_to(b) for a, b in settings]
-    tallies = run_hv_sweep(separations, config.n, config.seed, workers=config.workers)
+    sampled = run_pairs(settings, config.n, "hv", config.seed, workers=config.workers)
 
     rows = []
-    for theta, (a, b), counts in zip(config.grid, settings, tallies):
-        estimate, std_error = estimate_correlation(SettingSeries(a=a, b=b, counts=counts))
+    for theta, (a, b), series in zip(config.grid, settings, sampled):
+        estimate, std_error = estimate_correlation(series)
         # Flipped region signs negate the estimate.
         if config.single_electron:
             curves = (math.cos(theta), single_electron_correlation(theta), -estimate)

@@ -6,11 +6,12 @@ carried over between pairs except in the transfer baseline, which is the
 point of that model.  One trial runner serves every sampled model and is the
 only place that draws: it takes fixed-size chunks of uniforms from
 counter-based generators keyed by (seed, stream) and hands each chunk to the
-model's kernel, which tallies the four channels; kernel k of a call draws on
-stream + k.  The hv kernel takes no arccos per trial: it compares each
-hidden-angle draw with one threshold on the generator's 2^-53 lattice,
-precomputed per separation with ``np.arccos`` (the model's ``sample_phi``), so
-it yields the bits of :func:`~spincorr.hidden.sample_singlet_batch`.  Results
+model's kernel, which tallies the four channels.  Every sampled command
+reaches it through :func:`run_pairs`, where pair k draws on stream + k.  The
+hv kernel takes no arccos per trial: it compares each hidden-angle draw with
+one threshold on the generator's 2^-53 lattice, precomputed per separation
+with ``np.arccos`` (the model's ``sample_phi``), so it yields the bits of
+:func:`~spincorr.hidden.sample_singlet_batch`.  Results
 are bit-identical for a given seed and configuration at any worker count, and
 memory does not grow with the number of trials.
 """
@@ -200,16 +201,21 @@ def _run(kernels, n: int, draws: int, seed: int, stream: int, workers: int) -> l
     return [sum(part[k] for part in parts) for k in range(len(kernels))]
 
 
-def _sample(pairs, n: int, model: str, seed: int, stream: int, workers: int) -> list[np.ndarray]:
-    """Channel counts of n trials at each setting pair ``(a, b)``.
+def run_pairs(
+    pairs, n: int, model: str = "hv", seed: int = 0, *, stream: int = 0, workers: int = 1
+) -> list[SettingSeries]:
+    """Draw n coincidences at each setting pair ``(a, b)`` and tally the four channels.
 
-    "transfer-baseline" evaluates every pair on the same trials, one kernel on
-    stream; the other models give pair k fresh trials on stream + k.
+    This is the one way into the trial runner.  "hv" and "quantum-sampler"
+    give pair k fresh trials on stream + k, so a pair's series does not depend
+    on the other pairs; "transfer-baseline" is one kernel on stream that
+    scores every pair on the same trials.  Results depend only on (seed,
+    stream, n, pairs), not on workers.
     """
+    pairs = tuple(pairs)
     if model == "transfer-baseline":
-        (counts,) = _run([partial(_transfer_counts, pairs)], n, 2, seed, stream, workers)
-        return list(counts)
-    if model == "hv":
+        draws, kernels = 2, [partial(_transfer_counts, pairs)]
+    elif model == "hv":
         thresholds = _plus_thresholds(a.angle_to(b) for a, b in pairs)
         draws, kernels = 2, [partial(_hv_counts, t) for t in thresholds]
     elif model == "quantum-sampler":
@@ -217,7 +223,10 @@ def _sample(pairs, n: int, model: str, seed: int, stream: int, workers: int) -> 
         draws, kernels = 1, [partial(_sampler_counts, cum) for cum in cumulative]
     else:
         raise ValueError(f"unknown model {model!r}; the sampled models are {SAMPLED_MODELS}")
-    return _run(kernels, n, draws, seed, stream, workers)
+    tallies = _run(kernels, n, draws, seed, stream, workers)
+    if model == "transfer-baseline":
+        (tallies,) = tallies  # one row per pair
+    return [SettingSeries(a=a, b=b, counts=counts) for (a, b), counts in zip(pairs, tallies)]
 
 
 def run_series(
@@ -230,7 +239,8 @@ def run_series(
     stream: int = 0,
     workers: int = 1,
 ) -> SettingSeries:
-    """Draw n coincidences at one setting pair and tally the four channels.
+    """Draw n coincidences at one setting pair and tally the four channels:
+    :func:`run_pairs` of the one pair, on stream.
 
     model "hv" runs the hidden-variable sampler at the separation angle;
     "quantum-sampler" draws channels directly from the exact weights;
@@ -239,14 +249,8 @@ def run_series(
     projection on b.  Results depend only on (seed, stream, n, settings),
     not on workers.
     """
-    (counts,) = _sample([(a, b)], n, model, seed, stream, workers)
-    return SettingSeries(a=a, b=b, counts=tuple(counts))
-
-
-def run_hv_sweep(separations, n: int, seed: int = 0, *, workers: int = 1) -> list[tuple[int, ...]]:
-    """hv channel counts of n trials at each separation angle, point i on stream i."""
-    kernels = [partial(_hv_counts, t) for t in _plus_thresholds(separations)]
-    return [tuple(counts) for counts in _run(kernels, n, 2, seed, 0, workers)]
+    (series,) = run_pairs([(a, b)], n, model, seed, stream=stream, workers=workers)
+    return series
 
 
 def estimate_correlation(series: SettingSeries) -> tuple[float, float]:
@@ -261,12 +265,6 @@ def estimate_correlation(series: SettingSeries) -> tuple[float, float]:
     estimate = sum(e * c for e, c in zip(CHANNEL_EIGENVALUES, series.counts)) / n
     std_error = math.sqrt(max(0.0, 1.0 - estimate**2) / n)
     return estimate, std_error
-
-
-def _pair_result(a: BlochDirection, b: BlochDirection, counts) -> PairResult:
-    series = SettingSeries(a=a, b=b, counts=counts)
-    estimate, std_error = estimate_correlation(series)
-    return PairResult(a=a, b=b, estimate=estimate, std_error=std_error, series=series)
 
 
 def run_chsh(
@@ -293,8 +291,8 @@ def run_chsh(
     if model == "quantum-exact":
         exact = [PairResult(x, y, correlation_exact(x, y), 0.0) for x, y in settings]
         return ChshReport(pairs=tuple(exact), model=model)
-    counts = _sample(settings, n_per_pair, model, seed, 0, workers)
-    pairs = [_pair_result(x, y, c) for (x, y), c in zip(settings, counts)]
+    series = run_pairs(settings, n_per_pair, model, seed, workers=workers)
+    pairs = [PairResult(s.a, s.b, *estimate_correlation(s), series=s) for s in series]
     tag = model if model == "transfer-baseline" else f"{model}-per-setting"
     return ChshReport(pairs=tuple(pairs), model=tag)
 

@@ -7,7 +7,7 @@ import pytest
 
 from spincorr import harness
 from spincorr.cli import main
-from spincorr.harness import SettingSeries, estimate_correlation
+from spincorr.harness import estimate_correlation, run_series
 from spincorr.quantum import BlochDirection
 
 
@@ -225,16 +225,18 @@ def test_sweep_single_electron_mode(capsys):
         assert abs(float(row[3]) - math.cos(theta)) < 5.0 * max(float(row[4]), 1e-3)
 
 
-def test_single_electron_sweep_is_the_sign_flipped_singlet(capsys):
+@pytest.mark.parametrize("mode", ["singlet", "single-electron"])
+def test_single_electron_sweep_is_the_sign_flipped_singlet(capsys, mode):
+    flag = ["--single-electron"] if mode == "single-electron" else []
     code, out, _ = run_cli(
-        capsys, "sweep", "--grid", "0:180:30", "--deg", "--single-electron", "--n", "4000", "--seed", "8"
+        capsys, "sweep", "--grid", "0:180:30", "--deg", *flag, "--n", "4000", "--seed", "8"
     )
     assert code == 0
-    rows = parse_csv(out)[2]
-    grid = [float(row[0]) for row in rows]
-    for row, theta, counts in zip(rows, grid, harness.run_hv_sweep(grid, 4000, seed=8)):
-        series = SettingSeries(BlochDirection(0.0), BlochDirection(theta), counts)
-        assert float(row[3]) == 0.0 - estimate_correlation(series)[0]
+    sign = -1.0 if flag else 1.0
+    for i, row in enumerate(parse_csv(out)[2]):
+        b = BlochDirection(float(row[0]))
+        series = run_series(BlochDirection(0.0), b, 4000, "hv", 8, stream=i)
+        assert float(row[3]) == sign * estimate_correlation(series)[0]
 
 
 def test_out_file_matches_stdout(tmp_path, capsys):

@@ -33,6 +33,10 @@ def coplanar(theta):
     return BlochDirection(theta)
 
 
+def _sweep_pairs(*separations):
+    return [(Z, coplanar(t)) for t in separations]
+
+
 # --- series and estimator ---
 
 
@@ -132,6 +136,13 @@ def test_chsh_pairs_match_standalone_series():
         assert pair.series.counts == run_series(x, y, 4000, "hv", 5, stream=s).counts
 
 
+@pytest.mark.parametrize("model", ["hv", "quantum-sampler"])
+def test_pair_k_draws_on_stream_plus_k(model):
+    pairs = _sweep_pairs(0.3, 2.0, math.pi)
+    for k, series in enumerate(harness.run_pairs(pairs, 3000, model, 4, stream=7)):
+        assert series.counts == run_series(*pairs[k], 3000, model, 4, stream=7 + k).counts
+
+
 # --- trial runner ---
 
 
@@ -147,7 +158,7 @@ def _runner_counts(workers):
         run_series(a, b_prime, n, "quantum-sampler", seed=3, stream=2, workers=workers).counts,
         [p.series.counts for p in run_transfer_baseline(*settings, n, 3, workers=workers).pairs],
         [p.series.counts for p in run_chsh(*settings, n, "quantum-sampler", 3, workers=workers).pairs],
-        harness.run_hv_sweep([0.0, 0.4, 2.5], n, 3, workers=workers),
+        [s.counts for s in harness.run_pairs(_sweep_pairs(0.0, 0.4, 2.5), n, seed=3, workers=workers)],
     ]
 
 
@@ -174,7 +185,7 @@ def test_one_pool_serves_every_job(monkeypatch):
     monkeypatch.setattr(harness, "ThreadPoolExecutor", Recorder)
     monkeypatch.setattr(harness, "CHUNK_TRIALS", 8)
     run_chsh(*canonical_settings(), 101, "hv", seed=1, workers=2)
-    harness.run_hv_sweep([0.1 * k for k in range(30)], 5, seed=1, workers=2)
+    harness.run_pairs(_sweep_pairs(*(0.1 * k for k in range(30))), 5, "hv", seed=1, workers=2)
     threads = min(2, os.cpu_count() or 1)
     assert pools == ([threads, threads] if threads > 1 else [])
 
@@ -228,13 +239,13 @@ def test_runner_rejects_nonpositive_workers():
 
 def test_hv_sweep_rejects_a_separation_out_of_range():
     with pytest.raises(ValueError):
-        harness.run_hv_sweep([4.0], 10)
+        harness._plus_thresholds([4.0])
 
 
 @pytest.mark.parametrize("bad", [-0.1, math.pi + 0.01, -math.inf, math.nan])
 def test_hv_separation_outside_zero_pi_keeps_its_message(bad):
     with pytest.raises(ValueError, match=r"^separation angle must lie in \[0, pi\], got"):
-        harness.run_hv_sweep([0.5, bad], 10)
+        harness._plus_thresholds([0.5, bad])
 
 
 # --- kernels ---

@@ -58,4 +58,4 @@ def test_readme_api_example_states_its_values():
             digits = len(text.partition(".")[2])
             assert abs(value - float(text)) < 10.0**-digits, (source, value, text)
         checked += 1
-    assert checked == 4
+    assert checked == 5
