@@ -5,6 +5,9 @@ Subcommands: exact (closed-form correlation and channel tables), weights
 CHSH run), sweep (correlation curves over a separation grid).  Every command
 produces one CSV or JSON document with a metadata block; identical
 configuration and seed give byte-identical output regardless of worker count.
+A setting pair's fields (both axes, their separation, the pair's values) come
+from one record builder, whether they fill the metadata of exact, weights and
+sample or a row of chsh.
 
 Exit codes: 0 success, 2 usage error, 3 I/O error.
 """
@@ -95,7 +98,7 @@ def render_json(report: Report) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _base_metadata(config: RunConfig, model: str) -> dict:
+def _base_metadata(config: RunConfig, model: str, **fields) -> dict:
     return {
         "tool": "spincorr",
         "version": __version__,
@@ -104,30 +107,31 @@ def _base_metadata(config: RunConfig, model: str) -> dict:
         "unit": config.unit,
         "seed": config.seed,
         "n": config.n,
+        **fields,
     }
 
 
-def _direction_metadata(meta: dict, label: str, d: BlochDirection) -> None:
-    meta[f"{label}_theta"] = d.theta
-    meta[f"{label}_phi"] = d.phi
+def _axis_fields(**axes: BlochDirection) -> dict:
+    """Zenith and azimuth of each named axis, in the order given."""
+    fields = {}
+    for label, d in axes.items():
+        fields[f"{label}_theta"], fields[f"{label}_phi"] = d.theta, d.phi
+    return fields
 
 
-def _pair_metadata(config: RunConfig, model: str) -> dict:
-    a, b = config.settings
-    meta = _base_metadata(config, model)
-    _direction_metadata(meta, "a", a)
-    _direction_metadata(meta, "b", b)
-    if config.r is not None:
-        _direction_metadata(meta, "r", config.r)
-    meta["separation"] = a.angle_to(b)
-    return meta
+def _pair_fields(
+    a: BlochDirection, b: BlochDirection, r: BlochDirection | None = None, **values
+) -> dict:
+    """The record of one setting pair: axes a, b (and r if given), their separation, then values."""
+    axes = _axis_fields(a=a, b=b) if r is None else _axis_fields(a=a, b=b, r=r)
+    return {**axes, "separation": a.angle_to(b), **values}
 
 
 def cmd_exact(config: RunConfig) -> Report:
     """Closed-form correlation plus the channel tables for one setting pair."""
     a, b = config.settings
-    meta = _pair_metadata(config, "quantum-exact")
-    meta["correlation"] = correlation_exact(a, b)
+    record = _pair_fields(a, b, config.r, correlation=correlation_exact(a, b))
+    meta = _base_metadata(config, "quantum-exact", **record)
 
     rows = []
     for term in decompose_eigenbasis(a, b).channels:
@@ -153,9 +157,8 @@ def cmd_sample(config: RunConfig) -> Report:
     series = run_series(a, b, config.n, model, config.seed, workers=config.workers)
     estimate, std_error = estimate_correlation(series)
 
-    meta = _pair_metadata(config, model)
-    meta["estimate"] = estimate
-    meta["std_error"] = std_error
+    record = _pair_fields(a, b, estimate=estimate, std_error=std_error)
+    meta = _base_metadata(config, model, **record)
     rows = tuple(
         (k + 1, alpha, beta, count, count / series.total)
         for k, ((alpha, beta), count) in enumerate(zip(CHANNEL_OUTCOMES, series.counts))
@@ -165,71 +168,48 @@ def cmd_sample(config: RunConfig) -> Report:
 
 
 def cmd_chsh(config: RunConfig) -> Report:
-    """Four-setting CHSH run for the chosen model."""
+    """Four-setting CHSH run for the chosen model: one pair record per row."""
     a, a_prime, b, b_prime = config.settings
     model = CHSH_MODELS[config.model]
     report = run_chsh(a, a_prime, b, b_prime, config.n, model, config.seed, workers=config.workers)
 
-    meta = _base_metadata(config, report.model)
-    for label, d in zip(("a", "a_prime", "b", "b_prime"), (a, a_prime, b, b_prime)):
-        _direction_metadata(meta, label, d)
-    meta["s_value"] = report.s_value
-    meta["s_std_error"] = report.s_std_error
-
-    rows = []
-    for label, pair in zip(PAIR_LABELS, report.pairs):
-        counts = pair.series.counts if pair.series is not None else (0, 0, 0, 0)
-        rows.append(
-            (
-                label,
-                pair.a.theta,
-                pair.a.phi,
-                pair.b.theta,
-                pair.b.phi,
-                pair.a.angle_to(pair.b),
-                pair.estimate,
-                pair.std_error,
-                *counts,
-            )
-        )
-    columns = (
-        "pair",
-        "a_theta",
-        "a_phi",
-        "b_theta",
-        "b_phi",
-        "separation",
-        "estimate",
-        "std_error",
-        "n1",
-        "n2",
-        "n3",
-        "n4",
+    meta = _base_metadata(
+        config,
+        report.model,
+        **_axis_fields(a=a, a_prime=a_prime, b=b, b_prime=b_prime),
+        s_value=report.s_value,
+        s_std_error=report.s_std_error,
     )
-    return Report(metadata=meta, columns=columns, rows=tuple(rows))
+    records = [
+        _pair_fields(p.a, p.b, estimate=p.estimate, std_error=p.std_error) for p in report.pairs
+    ]
+    rows = tuple(
+        (label, *record.values(), *(p.series.counts if p.series is not None else (0, 0, 0, 0)))
+        for label, record, p in zip(PAIR_LABELS, records, report.pairs)
+    )
+    columns = ("pair", *records[0], "n1", "n2", "n3", "n4")
+    return Report(metadata=meta, columns=columns, rows=rows)
 
 
 def cmd_sweep(config: RunConfig) -> Report:
-    """Correlation curves over a separation grid: exact, analytic, and sampled."""
+    """Correlation curves over a separation grid, built column by column: exact,
+    analytic, and sampled on coplanar pairs (0, theta)."""
     mode = "single-electron" if config.single_electron else "singlet"
-    meta = _base_metadata(config, "hv")
-    meta["mode"] = mode
-    meta["grid"] = config.grid_text
+    meta = _base_metadata(config, "hv", mode=mode, grid=config.grid_text)
 
     settings = [(BlochDirection(0.0), BlochDirection(theta)) for theta in config.grid]
     sampled = run_pairs(settings, config.n, "hv", config.seed, workers=config.workers)
-
-    rows = []
-    for theta, (a, b), series in zip(config.grid, settings, sampled):
-        estimate, std_error = estimate_correlation(series)
-        # Flipped region signs negate the estimate.
-        if config.single_electron:
-            curves = (math.cos(theta), single_electron_correlation(theta), -estimate)
-        else:
-            curves = (correlation_exact(a, b), singlet_correlation_analytic(theta), estimate)
-        rows.append((theta, *curves, std_error))
+    estimates, std_errors = zip(*map(estimate_correlation, sampled))
+    if config.single_electron:
+        # Flipped region signs give +cos(theta) and negate the sampled estimate.
+        exact = analytic = [single_electron_correlation(theta) for theta in config.grid]
+        estimates = [-estimate for estimate in estimates]
+    else:
+        exact = [correlation_exact(a, b) for a, b in settings]
+        analytic = singlet_correlation_analytic(config.grid).tolist()
+    rows = tuple(zip(config.grid, exact, analytic, estimates, std_errors))
     columns = ("theta_ab", "exact", "hv_analytic", "hv_sampled", "stderr")
-    return Report(metadata=meta, columns=columns, rows=tuple(rows))
+    return Report(metadata=meta, columns=columns, rows=rows)
 
 
 COMMANDS = {

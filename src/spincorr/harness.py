@@ -51,10 +51,10 @@ class SettingSeries:
     counts: tuple[int, int, int, int]
 
     def __post_init__(self):
-        counts = tuple(int(c) for c in self.counts)
-        if len(counts) != 4 or any(c < 0 for c in counts):
+        counts = tuple(self.counts)
+        if len(counts) != 4 or not all(isinstance(c, (int, np.integer)) and c >= 0 for c in counts):
             raise ValueError("counts must be four nonnegative tallies")
-        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "counts", tuple(map(int, counts)))
 
     @property
     def total(self) -> int:
@@ -86,6 +86,10 @@ class ChshReport:
 
     pairs: tuple[PairResult, PairResult, PairResult, PairResult]
     model: str
+
+    def __post_init__(self):
+        if len(self.pairs) != len(CHSH_SIGNS):
+            raise ValueError(f"a CHSH report needs exactly four pairs, got {len(self.pairs)}")
 
     @property
     def s_value(self) -> float:
@@ -209,12 +213,13 @@ def run_pairs(
     This is the one way into the trial runner.  "hv" and "quantum-sampler"
     give pair k fresh trials on stream + k, so a pair's series does not depend
     on the other pairs; "transfer-baseline" is one kernel on stream that
-    scores every pair on the same trials.  Results depend only on (seed,
-    stream, n, pairs), not on workers.
+    scores every pair on the same trials.  No pairs give no series under
+    every model.  Results depend only on (seed, stream, n, pairs), not on
+    workers.
     """
     pairs = tuple(pairs)
     if model == "transfer-baseline":
-        draws, kernels = 2, [partial(_transfer_counts, pairs)]
+        draws, kernels = 2, [partial(_transfer_counts, pairs)] if pairs else []
     elif model == "hv":
         thresholds = _plus_thresholds(a.angle_to(b) for a, b in pairs)
         draws, kernels = 2, [partial(_hv_counts, t) for t in thresholds]
@@ -225,7 +230,7 @@ def run_pairs(
         raise ValueError(f"unknown model {model!r}; the sampled models are {SAMPLED_MODELS}")
     tallies = _run(kernels, n, draws, seed, stream, workers)
     if model == "transfer-baseline":
-        (tallies,) = tallies  # one row per pair
+        tallies = [row for table in tallies for row in table]  # its one table has a row per pair
     return [SettingSeries(a=a, b=b, counts=counts) for (a, b), counts in zip(pairs, tallies)]
 
 

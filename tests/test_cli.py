@@ -8,7 +8,9 @@ import pytest
 from spincorr import harness
 from spincorr.cli import main
 from spincorr.harness import estimate_correlation, run_series
+from spincorr.hidden import singlet_correlation_analytic
 from spincorr.quantum import BlochDirection
+from test_golden import SETTINGS as GOLDEN_SETTINGS
 
 
 def run_cli(capsys, *args):
@@ -151,6 +153,24 @@ def test_chsh_exact_model_json(capsys):
     assert len(doc["rows"]) == 4
 
 
+def test_chsh_rows_and_exact_metadata_share_the_pair_record(capsys):
+    given = dict(zip(GOLDEN_SETTINGS[0:8:2], GOLDEN_SETTINGS[1:8:2]))
+    code, out, _ = run_cli(capsys, "chsh", *GOLDEN_SETTINGS, "--model", "exact")
+    assert code == 0
+    _, columns, rows = parse_csv(out)
+    sides = {"ab": ("--a", "--b"), "ab_prime": ("--a", "--b-prime"),
+             "a_prime_b": ("--a-prime", "--b"), "a_prime_b_prime": ("--a-prime", "--b-prime")}
+    fields = ("a_theta", "a_phi", "b_theta", "b_phi", "separation")
+    assert [row[0] for row in rows] == list(sides)
+    for row in rows:
+        record = dict(zip(columns, row))
+        first, second = sides[record["pair"]]
+        code, out, _ = run_cli(capsys, "exact", "--a", given[first], "--b", given[second], "--deg")
+        assert code == 0
+        meta = parse_csv(out)[0]
+        assert [record[f] for f in (*fields, "estimate")] == [meta[f] for f in (*fields, "correlation")]
+
+
 def test_chsh_transfer_model(capsys):
     code, out, _ = run_cli(capsys, "chsh", "--model", "transfer", "--n", "30000", "--seed", "8")
     assert code == 0
@@ -206,6 +226,8 @@ def test_sweep_analytic_columns_agree_everywhere(capsys):
     assert len(rows) == 37
     for row in rows:
         assert abs(float(row[1]) - float(row[2])) < 1e-12
+        # the column comes from one array call; each cell is the scalar call's bits
+        assert float(row[2]) == singlet_correlation_analytic(float(row[0]))
     ninety = rows[18]
     assert float(ninety[0]) == pytest.approx(math.pi / 2)
     assert abs(float(ninety[1])) < 1e-12

@@ -41,10 +41,14 @@ def _sweep_pairs(*separations):
 
 
 def test_series_validates_counts():
-    with pytest.raises(ValueError):
-        SettingSeries(Z, Z, (1, 2, 3))
-    with pytest.raises(ValueError):
-        SettingSeries(Z, Z, (1, -2, 3, 4))
+    bad = [(1, 2, 3), (1, -2, 3, 4), (1.5, 0.9, 0, 0), ("3", 0, 0, 0), (math.inf, 0, 0, 0),
+           (np.float64(2.0), 0, 0, 0)]
+    for counts in bad:
+        with pytest.raises(ValueError):
+            SettingSeries(Z, Z, counts)
+    # the runner's tallies are numpy integers; the series holds plain ints
+    counts = SettingSeries(Z, Z, np.array([3, 0, 1, 2])).counts
+    assert counts == (3, 0, 1, 2) and all(type(c) is int for c in counts)
 
 
 def test_series_total_and_separation():
@@ -329,6 +333,13 @@ def test_report_combines_estimates_with_fixed_signs():
     assert report.s_std_error == pytest.approx(0.02, abs=1e-15)
 
 
+@pytest.mark.parametrize("count", [1, 3, 5, 6])
+def test_report_needs_exactly_four_pairs(count):
+    pairs = tuple(PairResult(Z, Z, estimate=0.5, std_error=0.01) for _ in range(count))
+    with pytest.raises(ValueError, match="exactly four pairs"):
+        ChshReport(pairs=pairs, model="quantum-exact")
+
+
 def test_quantum_exact_chsh_hits_the_tsirelson_value():
     report = run_chsh(*canonical_settings(), 1, "quantum-exact")
     assert report.s_value == pytest.approx(-2.0 * math.sqrt(2.0), abs=1e-12)
@@ -357,6 +368,11 @@ def test_hv_chsh_lands_near_the_quantum_value():
 )
 def test_chsh_report_model_tag(model, tag):
     assert run_chsh(*canonical_settings(), 100, model, seed=1).model == tag
+
+
+@pytest.mark.parametrize("model", harness.SAMPLED_MODELS)
+def test_no_pairs_give_no_series(model):
+    assert harness.run_pairs([], 1000, model, seed=3, workers=2) == []
 
 
 def test_transfer_baseline_is_the_transfer_chsh_run():
