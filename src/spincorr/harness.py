@@ -28,7 +28,7 @@ import numpy as np
 
 from .hidden import _check_separation, sample_phi
 from .quantum import CHANNEL_EIGENVALUES, BlochDirection, channel_weights, correlation_exact
-from .streams import substream
+from .streams import _is_int, substream
 
 CHSH_SIGNS = (1, -1, 1, 1)
 
@@ -52,7 +52,7 @@ class SettingSeries:
 
     def __post_init__(self):
         counts = tuple(self.counts)
-        if len(counts) != 4 or not all(isinstance(c, (int, np.integer)) and c >= 0 for c in counts):
+        if len(counts) != 4 or not all(_is_int(c) and c >= 0 for c in counts):
             raise ValueError("counts must be four nonnegative tallies")
         object.__setattr__(self, "counts", tuple(map(int, counts)))
 
@@ -123,37 +123,27 @@ def _bin_channels(alpha_minus: np.ndarray, product_plus: np.ndarray) -> np.ndarr
 
 # numpy's random() returns m * 2^-53 for an integer m in [0, 2^53).
 _LATTICE = 2.0**-53
-# Lattice steps searched on each side of the closed-form start; over the sweep
-# grid and 20,000 random angles the boundary lay within 2 steps of it.
-_WINDOW = np.arange(-8, 9)
 
 
 def _plus_thresholds(separations) -> list[float]:
     """Per separation theta, the least draw u on the random() lattice with
     ``sample_phi(u) >= theta``: the hv product is +1 exactly when the draw lies below it.
 
-    The search starts at floor(sin^2(theta/2) 2^53) and evaluates ``sample_phi``
-    (``np.arccos``, whose last bit can differ from ``math.acos``) on a window of
-    lattice points around it.  1 - 2u is exact on the lattice, so the window
-    must show one plus-then-minus step; anything else raises RuntimeError.  At
+    A bisection on the lattice index m keeps ``sample_phi(below 2^-53) < theta``
+    (below = -1 is never evaluated) and ``sample_phi(above 2^-53) >= theta``
+    (above = 2^53 maps to pi, which is never below a separation) until they
+    are one step apart.  ``sample_phi`` takes ``np.arccos`` (whose last bit can
+    differ from ``math.acos``) of 1 - 2u, which is exact on the lattice.  At
     theta = pi the threshold is 1.0, so every draw is plus.
     """
     theta = np.array([_check_separation(t) for t in separations], dtype=float)
-    start = np.floor(np.sin(theta / 2) ** 2 / _LATTICE)
-
-    def point(steps):
-        return np.clip(start + steps, 0.0, 1 / _LATTICE) * _LATTICE
-
-    # one window column at a time keeps the temporaries at one value per separation
-    plus = np.column_stack([sample_phi(point(step)) < theta for step in _WINDOW])
-    clean = (
-        np.all(plus[:, :-1] >= plus[:, 1:], axis=1)
-        & ~plus[:, -1]
-        & (plus[:, 0] | (point(_WINDOW[0]) == 0.0))
-    )
-    if not np.all(clean):
-        raise RuntimeError(f"no clean hv threshold step near separations {theta[~clean].tolist()}")
-    return point(_WINDOW[np.argmin(plus, axis=1)]).tolist()
+    below = np.full(theta.shape, -1, dtype=np.int64)
+    above = np.full(theta.shape, 1 << 53, dtype=np.int64)
+    while np.any(above - below > 1):
+        mid = (below + above + 1) // 2  # equals above once converged, so it stays put
+        plus = sample_phi(mid * _LATTICE) < theta
+        below, above = np.where(plus, mid, below), np.where(plus, above, mid)
+    return (above * _LATTICE).tolist()
 
 
 def _hv_counts(threshold: float, u: np.ndarray) -> np.ndarray:
@@ -181,10 +171,10 @@ def _run(kernels, n: int, draws: int, seed: int, stream: int, workers: int) -> l
     indices t, t + T, ..., each split into (kernel, chunk), and keeps its own
     totals, so no list of chunks is built and memory does not grow with n.
     """
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
-    if n < 1:
-        raise ValueError("series length must be at least 1")
+    if not (_is_int(workers) and workers >= 1):
+        raise ValueError(f"workers must be an integer of at least 1, got {workers!r}")
+    if not (_is_int(n) and n >= 1):
+        raise ValueError(f"series length must be an integer of at least 1, got {n!r}")
     chunks = -(-n // CHUNK_TRIALS)
 
     def work(first: int, step: int) -> list:
@@ -228,9 +218,7 @@ def run_pairs(
         draws, kernels = 1, [partial(_sampler_counts, cum) for cum in cumulative]
     else:
         raise ValueError(f"unknown model {model!r}; the sampled models are {SAMPLED_MODELS}")
-    tallies = _run(kernels, n, draws, seed, stream, workers)
-    if model == "transfer-baseline":
-        tallies = [row for table in tallies for row in table]  # its one table has a row per pair
+    tallies = np.reshape(_run(kernels, n, draws, seed, stream, workers), (-1, 4))  # a row per pair
     return [SettingSeries(a=a, b=b, counts=counts) for (a, b), counts in zip(pairs, tallies)]
 
 

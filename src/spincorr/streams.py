@@ -19,6 +19,11 @@ BLOCK_DRAWS = 4
 _U64_MAX = 2**64 - 1
 
 
+def _is_int(value) -> bool:
+    """A Python or NumPy integer; bool, though an int subclass, is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def substream(seed: int, stream: int = 0, draw_offset: int = 0) -> np.random.Generator:
     """Uniform generator for the ``(seed, stream)`` key, positioned at ``draw_offset``.
 
@@ -26,7 +31,7 @@ def substream(seed: int, stream: int = 0, draw_offset: int = 0) -> np.random.Gen
     multiple of :data:`BLOCK_DRAWS`.
     """
     for name, value in (("seed", seed), ("stream", stream)):
-        if not 0 <= value <= _U64_MAX:
+        if not (_is_int(value) and 0 <= value <= _U64_MAX):
             raise ValueError(f"{name} must fit in an unsigned 64-bit integer, got {value}")
     bits = np.random.Philox(key=np.array([seed, stream], dtype=np.uint64))
     if draw_offset:

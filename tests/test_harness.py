@@ -42,7 +42,7 @@ def _sweep_pairs(*separations):
 
 def test_series_validates_counts():
     bad = [(1, 2, 3), (1, -2, 3, 4), (1.5, 0.9, 0, 0), ("3", 0, 0, 0), (math.inf, 0, 0, 0),
-           (np.float64(2.0), 0, 0, 0)]
+           (np.float64(2.0), 0, 0, 0), (True, 0, 0, 0)]
     for counts in bad:
         with pytest.raises(ValueError):
             SettingSeries(Z, Z, counts)
@@ -236,9 +236,16 @@ def test_runner_memory_does_not_grow_with_n(monkeypatch, workers):
     assert peak < 1 << 20
 
 
-def test_runner_rejects_nonpositive_workers():
+@pytest.mark.parametrize(
+    "name,bad",
+    [("workers", 0), ("workers", 1.5), ("workers", True), ("workers", np.float64(2.0)),
+     ("n", 0), ("n", 1e3), ("n", True), ("seed", 1.9), ("stream", 0.5)],
+)
+def test_runner_rejects_nonpositive_workers(name, bad):
+    # the runner takes Python or NumPy integers, never a bool or a float
+    kwargs = {"n": 10, "seed": 1, "stream": 0, "workers": 1, name: bad}
     with pytest.raises(ValueError):
-        run_series(Z, Z, 10, workers=0)
+        run_series(Z, Z, **kwargs)
 
 
 def test_hv_sweep_rejects_a_separation_out_of_range():
@@ -293,13 +300,9 @@ def test_hv_threshold_splits_the_lattice_where_sample_phi_does(monkeypatch, tmp_
     plus = sample_phi(points * lattice) < theta[:, None]
     assert np.array_equal(plus, points < m[:, None])
     assert harness._plus_thresholds([0.0, math.pi / 2, math.pi]) == [0.0, 0.5, 1.0]
-
-
-@pytest.mark.parametrize("window", [range(3, 9), range(-9, -3)], ids=["after", "before"])
-def test_hv_threshold_search_raises_when_the_window_misses_the_step(monkeypatch, window):
-    monkeypatch.setattr(harness, "_WINDOW", np.array(window))
-    with pytest.raises(RuntimeError, match="no clean hv threshold step"):
-        harness._plus_thresholds([0.3, 1.0])
+    edges = [5e-324, 1e-300, 2.1e-8, 2.2e-8, 3e-8, math.pi - 1e-15, np.nextafter(math.pi, 0)]
+    pinned = [lattice, lattice, lattice, 2 * lattice, 3 * lattice, 1.0, 1.0]
+    assert harness._plus_thresholds(edges) == pinned
 
 
 # channel weights at 0 and pi hold two zeros each

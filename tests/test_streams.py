@@ -8,6 +8,8 @@ def test_same_key_reproduces():
     first = substream(7, 3).random(16)
     second = substream(7, 3).random(16)
     assert np.array_equal(first, second)
+    # NumPy integers are key parts too
+    assert np.array_equal(first, substream(np.uint64(7), np.int64(3)).random(16))
 
 
 def test_distinct_streams_differ():
@@ -32,7 +34,11 @@ def test_offset_must_be_block_aligned():
         substream(1, 0, draw_offset=-4)
 
 
-@pytest.mark.parametrize("seed,stream", [(-1, 0), (0, -1), (2**64, 0), (0, 2**64)])
+@pytest.mark.parametrize(
+    "seed,stream",
+    [(-1, 0), (0, -1), (2**64, 0), (0, 2**64), (1.5, 0), (0, 0.5), (True, 0), (0, False),
+     (np.float64(1.0), 0), ("1", 0)],
+)
 def test_key_parts_must_fit_u64(seed, stream):
     with pytest.raises(ValueError):
         substream(seed, stream)
