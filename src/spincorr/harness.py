@@ -11,9 +11,12 @@ reaches it through :func:`run_pairs`, where pair k draws on stream + k.  The
 hv kernel takes no arccos per trial: it compares each hidden-angle draw with
 one threshold on the generator's 2^-53 lattice, precomputed per separation
 with ``np.arccos`` (the model's ``sample_phi``), so it yields the bits of
-:func:`~spincorr.hidden.sample_singlet_batch`.  Results
-are bit-identical for a given seed and configuration at any worker count, and
-memory does not grow with the number of trials.
+:func:`~spincorr.hidden.sample_singlet_batch`.  The transfer kernel takes each
+trial's hemisphere signs from float32 projections, in cache-sized blocks, and
+recomputes with the float64 hidden vector every trial that lies too near a
+hemisphere boundary for float32 to settle its sign, so every sign is the
+float64 one.  Results are bit-identical for a given seed and configuration at
+any worker count, and memory does not grow with the number of trials.
 """
 
 from __future__ import annotations
@@ -297,13 +300,63 @@ def _hidden_vectors(u: np.ndarray) -> np.ndarray:
     return np.column_stack((s * np.cos(az), s * np.sin(az), z))
 
 
+# Trials per block of the hemisphere signs: the block's temporaries stay in cache and
+# below malloc's mmap threshold, so a chunk takes no page faults.
+_SIGN_BLOCK = 1 << 13
+
+# numpy's float32 cos and sin err by at most this (measured at most 1.18 times 2^-24
+# on [0, 2 pi) with numpy 2.4 on an AVX-512 Xeon; a test checks the running build).
+_TRIG32_ERROR = 2 * 2.0**-24
+
+# Each float32 projection on x lies within |x|_1 (at most sqrt(3)) times
+#   2^-22           the float32 rounding of the azimuth, half an ulp on [4, 2 pi),
+#   _TRIG32_ERROR   numpy's float32 cos and sin,
+#   6 * 2^-24       six float32 roundings: the casts of s (or z) and of x, the
+#                   products s cos (or s sin) and x_i lam_i, and the two sums,
+# of the float64 projection, about 1.24e-6 in all; the float64 projection's own
+# rounding, under 1e-15, is lost in the margin.  A float32 sign is kept only where
+# the projection clears this threshold, about 8 times that bound.
+_SIGN_EPS = 1e-5
+
+
+def _hemisphere_signs(directions, u: np.ndarray) -> np.ndarray:
+    """``_hidden_vectors(u) @ x.unit_vector >= 0.0`` for each direction x, as a
+    ``(len(directions), len(u))`` bool array.
+
+    The signs come from float32 projections, taken block by block; a trial
+    whose projection on some direction lies within _SIGN_EPS of 0 is recomputed
+    with the float64 formula, so every sign is the float64 one.  numpy hands a
+    one-row matvec to dot rather than gemv, and the two can round the last bit
+    apart, so the first two trials are always recomputed too: the recomputed
+    matvec then has one row only when the chunk has one.
+    """
+    units = np.array([x.unit_vector for x in directions], dtype=np.float32)[:, :, None]
+    up = np.empty((len(directions), len(u)), dtype=bool)
+    near = np.empty(len(u), dtype=bool)
+    for lo in range(0, len(u), _SIGN_BLOCK):
+        v = u[lo : lo + _SIGN_BLOCK]
+        z = 2.0 * v[:, 0] - 1.0
+        s = np.sqrt(np.maximum(0.0, 1.0 - z * z)).astype(np.float32)
+        az = (2.0 * math.pi * v[:, 1]).astype(np.float32)
+        projection = units[:, 0] * (s * np.cos(az)) + units[:, 1] * (s * np.sin(az))
+        projection += units[:, 2] * z.astype(np.float32)
+        np.greater_equal(projection, 0.0, out=up[:, lo : lo + len(v)])
+        np.less(np.abs(projection).min(axis=0), _SIGN_EPS, out=near[lo : lo + len(v)])
+    near[:2] = True
+    (redo,) = np.nonzero(near)
+    lam = _hidden_vectors(u[redo])
+    for row, x in zip(up, directions):
+        row[redo] = lam @ x.unit_vector >= 0.0
+    return up
+
+
 def _transfer_counts(pairs, u: np.ndarray) -> np.ndarray:
     """Hemisphere-sign tallies, one row per setting pair; the pairs share each
-    trial's hidden vector, and each distinct direction on a side is projected once."""
-    lam = _hidden_vectors(u)
-    up1 = {x: lam @ x.unit_vector >= 0.0 for x, _ in pairs}
-    up2 = {y: lam @ y.unit_vector >= 0.0 for _, y in pairs}  # side 2 is anti-aligned: up is -1
-    return np.stack([_bin_channels(~up1[x], up1[x] ^ up2[y]) for x, y in pairs])
+    trial's hidden vector, and each distinct direction is projected once, with
+    the float32 signs and float64 fallback of :func:`_hemisphere_signs`."""
+    directions = list(dict.fromkeys(x for pair in pairs for x in pair))
+    up = dict(zip(directions, _hemisphere_signs(directions, u)))  # side 2 is anti-aligned: up is -1
+    return np.stack([_bin_channels(~up[x], up[x] ^ up[y]) for x, y in pairs])
 
 
 def run_transfer_baseline(

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .streams import _is_int
+
 
 def _check_separation(theta_ab: float) -> float:
     theta_ab = float(theta_ab)
@@ -113,8 +115,8 @@ def sample_singlet_batch(theta_ab: float, count: int, rng: np.random.Generator) 
     this ``np.arccos`` transform.
     """
     theta_ab = _check_separation(theta_ab)
-    if count < 1:
-        raise ValueError("count must be at least 1")
+    if not (_is_int(count) and count >= 1):
+        raise ValueError(f"count must be an integer of at least 1, got {count!r}")
     u = rng.random((count, 2))
     alpha = np.where(u[:, 0] < 0.5, 1, -1)
     phi = sample_phi(u[:, 1])

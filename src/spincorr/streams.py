@@ -33,10 +33,12 @@ def substream(seed: int, stream: int = 0, draw_offset: int = 0) -> np.random.Gen
     for name, value in (("seed", seed), ("stream", stream)):
         if not (_is_int(value) and 0 <= value <= _U64_MAX):
             raise ValueError(f"{name} must fit in an unsigned 64-bit integer, got {value}")
+    if not (_is_int(draw_offset) and draw_offset >= 0 and draw_offset % BLOCK_DRAWS == 0):
+        raise ValueError(
+            f"draw_offset must be a nonnegative integer multiple of {BLOCK_DRAWS}, got {draw_offset!r}"
+        )
     bits = np.random.Philox(key=np.array([seed, stream], dtype=np.uint64))
     if draw_offset:
-        if draw_offset < 0 or draw_offset % BLOCK_DRAWS:
-            raise ValueError(f"draw_offset must be a nonnegative multiple of {BLOCK_DRAWS}")
         bits.advance(draw_offset // BLOCK_DRAWS)
     return np.random.Generator(bits)
 

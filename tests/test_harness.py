@@ -24,6 +24,7 @@ from spincorr.cli import main
 from spincorr.hidden import sample_phi
 from spincorr.quantum import BlochDirection, channel_weights
 from spincorr.streams import BLOCK_DRAWS, substream
+from test_acceptance import random_direction
 from test_golden import CASES
 
 Z = BlochDirection(0.0)
@@ -457,6 +458,128 @@ def test_transfer_baseline_pairs_share_their_trials():
     counts = [p.series.counts for p in report.pairs]
     assert counts[0] == counts[1] == counts[2] == counts[3]
     assert report.s_value == pytest.approx(-2.0, abs=1e-12)
+
+
+# --- transfer kernel against its float64 formula ---
+
+X_AXIS, Y_AXIS = BlochDirection(math.pi / 2), BlochDirection(math.pi / 2, math.pi / 2)
+
+
+def float64_signs(directions, lam):
+    """Each trial's hemisphere sign per direction, from the float64 hidden vectors lam."""
+    return np.array([lam @ x.unit_vector >= 0.0 for x in directions])
+
+
+def float64_transfer_counts(pairs, lam):
+    """The transfer tallies with every sign taken from the float64 formula."""
+    directions = [x for pair in pairs for x in pair]
+    up = dict(zip(directions, float64_signs(directions, lam)))
+    return np.stack([harness._bin_channels(~up[x], up[x] ^ up[y]) for x, y in pairs])
+
+
+def chsh_pairs(a, a_prime, b, b_prime):
+    return ((a, b), (a, b_prime), (a_prime, b), (a_prime, b_prime))
+
+
+def test_transfer_kernel_matches_the_float64_formula_on_full_chunks():
+    # criterion 7's 200 random quadruples, ten to a chunk, and the canonical
+    # settings on the first eight chunks of one long run
+    rng = np.random.default_rng(8675309)
+    quadruples = [chsh_pairs(*(random_direction(rng) for _ in range(4))) for _ in range(200)]
+    cases = [(seed, 0, quadruples[seed::20]) for seed in range(20)]
+    cases += [(777, chunk, [chsh_pairs(*canonical_settings())]) for chunk in range(8)]
+    for seed, chunk, family in cases:
+        offset = 2 * chunk * harness.CHUNK_TRIALS
+        u = substream(seed, draw_offset=offset).random((harness.CHUNK_TRIALS, 2))
+        lam = harness._hidden_vectors(u)
+        for pairs in family:
+            expected = float64_transfer_counts(pairs, lam)
+            assert np.array_equal(harness._transfer_counts(pairs, u), expected)
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 5, 1001])
+def test_transfer_kernel_matches_the_float64_formula_on_short_chunks(count):
+    # the last chunk of a series can hold a handful of trials
+    pairs = chsh_pairs(*canonical_settings())
+    for seed in range(20):
+        u = substream(seed, 3).random((count, 2))
+        expected = float64_transfer_counts(pairs, harness._hidden_vectors(u))
+        assert np.array_equal(harness._transfer_counts(pairs, u), expected)
+
+
+def near_boundary_draws(count, seed):
+    """Draws whose hidden vector lies within 1e-7 of the plane through 0 normal to
+    the x, y or z axis: u[:, 1] near 1/4 or 1/2 puts the azimuth near pi/2 or pi,
+    u[:, 0] near 1/2 puts z near 0.  Some offsets are exactly 0 or a few lattice steps."""
+    rng = np.random.default_rng(seed)
+    tiny = rng.uniform(-1e-8, 1e-8, count)
+    tiny[::7] = rng.integers(-4, 5, len(tiny[::7])) * 2.0**-53
+    u = rng.random((count, 2))
+    kind = rng.integers(0, 4, count)
+    u[kind == 0, 1] = 0.25 + tiny[kind == 0]
+    u[kind == 1, 1] = 0.5 + tiny[kind == 1]
+    u[kind == 2, 0] = 0.5 + tiny[kind == 2]
+    u[kind == 3] = 0.5 + tiny[kind == 3, None]
+    return u
+
+
+def test_transfer_signs_near_the_hemisphere_boundary_are_the_float64_ones(monkeypatch):
+    directions = [X_AXIS, Y_AXIS, Z, BlochDirection(1.0, 2.0)]
+    u = near_boundary_draws(harness.CHUNK_TRIALS, seed=5)
+    lam = harness._hidden_vectors(u)
+    nearest = np.abs(lam @ np.array([x.unit_vector for x in directions]).T).min(axis=1)
+    assert np.count_nonzero(nearest < 1e-7) > harness.CHUNK_TRIALS // 2
+    expected = float64_signs(directions, lam)
+    assert np.array_equal(harness._hemisphere_signs(directions, u), expected)
+    pairs = [(X_AXIS, Y_AXIS), (Y_AXIS, Z), (Z, X_AXIS), (directions[3], Z)]
+    assert np.array_equal(harness._transfer_counts(pairs, u), float64_transfer_counts(pairs, lam))
+    # the float32 signs alone get some of these trials wrong: the fallback is what keeps them
+    monkeypatch.setattr(harness, "_SIGN_EPS", 0.0)
+    assert not np.array_equal(harness._hemisphere_signs(directions, u), expected)
+
+
+def test_a_lone_near_trial_gets_the_sign_of_the_whole_chunk():
+    # numpy computes a one-row matvec with dot and a longer one with gemv, and the
+    # two can round the last bit apart; for hidden vectors normal to x that can flip
+    # a sign, so a chunk whose only near-boundary trial is one of these must still
+    # get the signs of the matvec over the whole chunk
+    rng = np.random.default_rng(3)
+    x = BlochDirection(1.443650125891709, 5.386267325318877)
+    normal = np.cross(x.unit_vector, rng.normal(size=(300, 3)))
+    normal /= np.linalg.norm(normal, axis=1)[:, None]
+    azimuth = np.arctan2(normal[:, 1], normal[:, 0]) % (2.0 * math.pi)
+    on_circle = np.column_stack(((normal[:, 2] + 1.0) / 2.0, azimuth / (2.0 * math.pi)))
+    background = substream(8).random((100, 2))
+    for trial in on_circle:
+        u = np.vstack([background, trial])
+        expected = float64_signs([x], harness._hidden_vectors(u))
+        assert np.array_equal(harness._hemisphere_signs([x], u), expected)
+
+
+@pytest.mark.parametrize("block", [1, 5])
+def test_transfer_counts_do_not_depend_on_the_sign_block(monkeypatch, block):
+    angles = [(0.3, 1.0), (2.0, 0.5), (1.2, 4.0), (0.7, 2.5)]
+    pairs = chsh_pairs(*(BlochDirection(*a) for a in angles))
+    u = np.concatenate([near_boundary_draws(500, seed=9), substream(4).random((503, 2))])
+    expected = float64_transfer_counts(pairs, harness._hidden_vectors(u))
+    default = run_transfer_baseline(*canonical_settings(), 2003, seed=12).pairs
+    monkeypatch.setattr(harness, "_SIGN_BLOCK", block)
+    assert np.array_equal(harness._transfer_counts(pairs, u), expected)
+    patched = run_transfer_baseline(*canonical_settings(), 2003, seed=12).pairs
+    assert [p.series.counts for p in patched] == [p.series.counts for p in default]
+
+
+def test_float32_trig_stays_within_the_sign_bound():
+    # _SIGN_EPS rests on numpy's float32 cos and sin erring by at most _TRIG32_ERROR
+    # and on an azimuth rounding to float32 by at most 2^-22; a build with weaker
+    # float32 trig fails here rather than risking a sign
+    azimuth = 2.0 * math.pi * np.random.default_rng(31).random(1 << 19)
+    grid = np.linspace(0.0, 2.0 * math.pi, 1 << 19, endpoint=False)
+    az32 = np.concatenate([azimuth, grid]).astype(np.float32)
+    assert np.abs(az32[: 1 << 19] - azimuth).max() <= 2.0**-22
+    for trig in (np.cos, np.sin):
+        error = np.abs(trig(az32).astype(np.float64) - trig(az32.astype(np.float64)))
+        assert error.max() <= harness._TRIG32_ERROR
 
 
 def test_estimator_is_consistent_over_many_runs():

@@ -233,6 +233,12 @@ def test_batch_count_validation():
         sample_singlet_batch(1.0, 0, substream(0))
 
 
+@pytest.mark.parametrize("count", [2.0, np.float64(5.0), True, "3", None])
+def test_batch_count_must_be_an_integer(count):
+    with pytest.raises(ValueError, match="count must be an integer"):
+        sample_singlet_batch(1.0, count, substream(0))
+
+
 # --- single-electron variant ---
 
 

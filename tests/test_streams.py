@@ -34,6 +34,12 @@ def test_offset_must_be_block_aligned():
         substream(1, 0, draw_offset=-4)
 
 
+@pytest.mark.parametrize("offset", [4.0, np.float64(8.0), "4", True, None])
+def test_offset_must_be_an_integer(offset):
+    with pytest.raises(ValueError, match="draw_offset"):
+        substream(1, 0, draw_offset=offset)
+
+
 @pytest.mark.parametrize(
     "seed,stream",
     [(-1, 0), (0, -1), (2**64, 0), (0, 2**64), (1.5, 0), (0, 0.5), (True, 0), (0, False),
