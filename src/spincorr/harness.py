@@ -13,7 +13,7 @@ one threshold on the generator's 2^-53 lattice, precomputed per separation
 with ``np.arccos`` (the model's ``sample_phi``), so it yields the bits of
 :func:`~spincorr.hidden.sample_singlet_batch`.  The transfer kernel takes each
 trial's hemisphere signs from float32 projections, in cache-sized blocks, and
-recomputes with the float64 hidden vector every trial that lies too near a
+recomputes in float64, by the same formula, every trial that lies too near a
 hemisphere boundary for float32 to settle its sign, so every sign is the
 float64 one.  Results are bit-identical for a given seed and configuration at
 any worker count, and memory does not grow with the number of trials.
@@ -293,13 +293,6 @@ def run_chsh(
     return ChshReport(pairs=tuple(pairs), model=tag)
 
 
-def _hidden_vectors(u: np.ndarray) -> np.ndarray:
-    z = 2.0 * u[:, 0] - 1.0
-    az = 2.0 * math.pi * u[:, 1]
-    s = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    return np.column_stack((s * np.cos(az), s * np.sin(az), z))
-
-
 # Trials per block of the hemisphere signs: the block's temporaries stay in cache and
 # below malloc's mmap threshold, so a chunk takes no page faults.
 _SIGN_BLOCK = 1 << 13
@@ -319,34 +312,38 @@ _TRIG32_ERROR = 2 * 2.0**-24
 _SIGN_EPS = 1e-5
 
 
-def _hemisphere_signs(directions, u: np.ndarray) -> np.ndarray:
-    """``_hidden_vectors(u) @ x.unit_vector >= 0.0`` for each direction x, as a
-    ``(len(directions), len(u))`` bool array.
+def _projections(units: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Each trial's hidden vector (z = 2 u0 - 1, azimuth 2 pi u1) projected on each
+    row of units, as a ``(len(units), len(u))`` array in the dtype of units: s, the
+    azimuth and z are cast to it and summed as x0 s cos + x1 s sin, then + x2 z."""
+    z = 2.0 * u[:, 0] - 1.0
+    s = np.sqrt(np.maximum(0.0, 1.0 - z * z)).astype(units.dtype)
+    az = (2.0 * math.pi * u[:, 1]).astype(units.dtype)
+    x = units[:, :, None]
+    projection = x[:, 0] * (s * np.cos(az)) + x[:, 1] * (s * np.sin(az))
+    projection += x[:, 2] * z.astype(units.dtype)
+    return projection
 
-    The signs come from float32 projections, taken block by block; a trial
-    whose projection on some direction lies within _SIGN_EPS of 0 is recomputed
-    with the float64 formula, so every sign is the float64 one.  numpy hands a
-    one-row matvec to dot rather than gemv, and the two can round the last bit
-    apart, so the first two trials are always recomputed too: the recomputed
-    matvec then has one row only when the chunk has one.
+
+def _hemisphere_signs(directions, u: np.ndarray) -> np.ndarray:
+    """The float64 ``_projections(units, u) >= 0.0`` on each direction's unit vector,
+    a bool row per direction.
+
+    The signs come from float32 projections, taken block by block; a trial whose
+    projection on some direction lies within _SIGN_EPS of 0 is recomputed with the
+    float64 projections, so every sign is the float64 one.
     """
-    units = np.array([x.unit_vector for x in directions], dtype=np.float32)[:, :, None]
+    units = np.array([x.unit_vector for x in directions])
+    units32 = units.astype(np.float32)
     up = np.empty((len(directions), len(u)), dtype=bool)
     near = np.empty(len(u), dtype=bool)
     for lo in range(0, len(u), _SIGN_BLOCK):
-        v = u[lo : lo + _SIGN_BLOCK]
-        z = 2.0 * v[:, 0] - 1.0
-        s = np.sqrt(np.maximum(0.0, 1.0 - z * z)).astype(np.float32)
-        az = (2.0 * math.pi * v[:, 1]).astype(np.float32)
-        projection = units[:, 0] * (s * np.cos(az)) + units[:, 1] * (s * np.sin(az))
-        projection += units[:, 2] * z.astype(np.float32)
-        np.greater_equal(projection, 0.0, out=up[:, lo : lo + len(v)])
-        np.less(np.abs(projection).min(axis=0), _SIGN_EPS, out=near[lo : lo + len(v)])
-    near[:2] = True
+        projection = _projections(units32, u[lo : lo + _SIGN_BLOCK])
+        hi = lo + projection.shape[1]
+        np.greater_equal(projection, 0.0, out=up[:, lo:hi])
+        np.less(np.abs(projection).min(axis=0), _SIGN_EPS, out=near[lo:hi])
     (redo,) = np.nonzero(near)
-    lam = _hidden_vectors(u[redo])
-    for row, x in zip(up, directions):
-        row[redo] = lam @ x.unit_vector >= 0.0
+    up[:, redo] = _projections(units, u[redo]) >= 0.0
     return up
 
 

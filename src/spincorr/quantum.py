@@ -68,8 +68,9 @@ class BlochDirection:
         if theta > math.pi:
             theta = _TAU - theta
             phi += math.pi
+        phi %= _TAU  # a tiny negative phi rounds up to _TAU itself
         object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "phi", phi % _TAU)
+        object.__setattr__(self, "phi", 0.0 if phi == _TAU else phi)
 
     @classmethod
     def from_vector(cls, v) -> "BlochDirection":
@@ -77,7 +78,7 @@ class BlochDirection:
         v = np.asarray(v, dtype=float).reshape(3)
         if not np.all(np.isfinite(v)):
             raise ValueError(f"cannot build a direction from a non-finite vector, got {v.tolist()}")
-        if float(np.linalg.norm(v)) == 0.0:
+        if not v.any():  # atan2 and hypot take any scale; a norm would under- or overflow
             raise ValueError("cannot build a direction from the zero vector")
         x, y, z = v
         return cls(math.atan2(math.hypot(x, y), z), math.atan2(y, x))

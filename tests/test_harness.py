@@ -465,9 +465,21 @@ def test_transfer_baseline_pairs_share_their_trials():
 X_AXIS, Y_AXIS = BlochDirection(math.pi / 2), BlochDirection(math.pi / 2, math.pi / 2)
 
 
+def hidden_vectors(u):
+    """Each trial's float64 hidden unit vector: z = 2 u0 - 1, azimuth 2 pi u1."""
+    z = 2.0 * u[:, 0] - 1.0
+    az = 2.0 * math.pi * u[:, 1]
+    s = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+    return np.column_stack((s * np.cos(az), s * np.sin(az), z))
+
+
 def float64_signs(directions, lam):
-    """Each trial's hemisphere sign per direction, from the float64 hidden vectors lam."""
-    return np.array([lam @ x.unit_vector >= 0.0 for x in directions])
+    """Each trial's hemisphere sign per direction, from the float64 hidden vectors lam,
+    with the projection summed as (x0 lam0 + x1 lam1) + x2 lam2."""
+    units = [x.unit_vector for x in directions]
+    return np.array(
+        [(x0 * lam[:, 0] + x1 * lam[:, 1]) + x2 * lam[:, 2] >= 0.0 for x0, x1, x2 in units]
+    )
 
 
 def float64_transfer_counts(pairs, lam):
@@ -491,7 +503,7 @@ def test_transfer_kernel_matches_the_float64_formula_on_full_chunks():
     for seed, chunk, family in cases:
         offset = 2 * chunk * harness.CHUNK_TRIALS
         u = substream(seed, draw_offset=offset).random((harness.CHUNK_TRIALS, 2))
-        lam = harness._hidden_vectors(u)
+        lam = hidden_vectors(u)
         for pairs in family:
             expected = float64_transfer_counts(pairs, lam)
             assert np.array_equal(harness._transfer_counts(pairs, u), expected)
@@ -503,7 +515,7 @@ def test_transfer_kernel_matches_the_float64_formula_on_short_chunks(count):
     pairs = chsh_pairs(*canonical_settings())
     for seed in range(20):
         u = substream(seed, 3).random((count, 2))
-        expected = float64_transfer_counts(pairs, harness._hidden_vectors(u))
+        expected = float64_transfer_counts(pairs, hidden_vectors(u))
         assert np.array_equal(harness._transfer_counts(pairs, u), expected)
 
 
@@ -526,7 +538,7 @@ def near_boundary_draws(count, seed):
 def test_transfer_signs_near_the_hemisphere_boundary_are_the_float64_ones(monkeypatch):
     directions = [X_AXIS, Y_AXIS, Z, BlochDirection(1.0, 2.0)]
     u = near_boundary_draws(harness.CHUNK_TRIALS, seed=5)
-    lam = harness._hidden_vectors(u)
+    lam = hidden_vectors(u)
     nearest = np.abs(lam @ np.array([x.unit_vector for x in directions]).T).min(axis=1)
     assert np.count_nonzero(nearest < 1e-7) > harness.CHUNK_TRIALS // 2
     expected = float64_signs(directions, lam)
@@ -539,10 +551,9 @@ def test_transfer_signs_near_the_hemisphere_boundary_are_the_float64_ones(monkey
 
 
 def test_a_lone_near_trial_gets_the_sign_of_the_whole_chunk():
-    # numpy computes a one-row matvec with dot and a longer one with gemv, and the
-    # two can round the last bit apart; for hidden vectors normal to x that can flip
-    # a sign, so a chunk whose only near-boundary trial is one of these must still
-    # get the signs of the matvec over the whole chunk
+    # a hidden vector normal to x projects on it to 0, so its sign is the rounding of
+    # the float64 sum alone; the fallback sums each trial on its own in a fixed order,
+    # so the trial gets the same sign alone, first or last in a chunk
     rng = np.random.default_rng(3)
     x = BlochDirection(1.443650125891709, 5.386267325318877)
     normal = np.cross(x.unit_vector, rng.normal(size=(300, 3)))
@@ -551,9 +562,12 @@ def test_a_lone_near_trial_gets_the_sign_of_the_whole_chunk():
     on_circle = np.column_stack(((normal[:, 2] + 1.0) / 2.0, azimuth / (2.0 * math.pi)))
     background = substream(8).random((100, 2))
     for trial in on_circle:
-        u = np.vstack([background, trial])
-        expected = float64_signs([x], harness._hidden_vectors(u))
-        assert np.array_equal(harness._hemisphere_signs([x], u), expected)
+        alone = harness._hemisphere_signs([x], trial[None])
+        assert np.array_equal(alone, float64_signs([x], hidden_vectors(trial[None])))
+        for u, at in ((np.vstack([trial, background]), 0), (np.vstack([background, trial]), -1)):
+            signs = harness._hemisphere_signs([x], u)
+            assert np.array_equal(signs, float64_signs([x], hidden_vectors(u)))
+            assert signs[0, at] == alone[0, 0]
 
 
 @pytest.mark.parametrize("block", [1, 5])
@@ -561,7 +575,7 @@ def test_transfer_counts_do_not_depend_on_the_sign_block(monkeypatch, block):
     angles = [(0.3, 1.0), (2.0, 0.5), (1.2, 4.0), (0.7, 2.5)]
     pairs = chsh_pairs(*(BlochDirection(*a) for a in angles))
     u = np.concatenate([near_boundary_draws(500, seed=9), substream(4).random((503, 2))])
-    expected = float64_transfer_counts(pairs, harness._hidden_vectors(u))
+    expected = float64_transfer_counts(pairs, hidden_vectors(u))
     default = run_transfer_baseline(*canonical_settings(), 2003, seed=12).pairs
     monkeypatch.setattr(harness, "_SIGN_BLOCK", block)
     assert np.array_equal(harness._transfer_counts(pairs, u), expected)

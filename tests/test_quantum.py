@@ -46,6 +46,13 @@ def test_direction_normalizes_zenith_overflow():
     assert d.phi == pytest.approx(math.pi)
 
 
+@pytest.mark.parametrize("phi", [-1e-17, -5e-324, -2.0 * math.pi * 2.0**-54])
+def test_direction_azimuth_stays_below_two_pi(phi):
+    # phi % 2 pi rounds a tiny negative azimuth up to 2 pi itself
+    d = BlochDirection(1.0, phi)
+    assert d.phi == 0.0
+
+
 def test_direction_negative_zenith_lands_in_opposite_half_plane():
     d = BlochDirection(-math.pi / 4)
     assert d.theta == pytest.approx(math.pi / 4)
@@ -74,9 +81,25 @@ def test_from_vector_round_trip(d):
 
 
 @pytest.mark.parametrize(
+    "v,theta,phi",
+    [
+        ([1e-200, 0.0, 0.0], math.pi / 2, 0.0),
+        ([0.0, 0.0, -1e-170], math.pi, 0.0),
+        ([5e-324, 0.0, 0.0], math.pi / 2, 0.0),
+        ([1e300, 1e300, 0.0], math.pi / 2, math.pi / 4),
+    ],
+    ids=["tiny", "tiny-south", "subnormal", "huge"],
+)
+def test_from_vector_takes_any_scale(v, theta, phi):
+    # the zero test must not square the components, which under- or overflow
+    d = BlochDirection.from_vector(v)
+    assert (d.theta, d.phi) == (theta, phi)
+
+
+@pytest.mark.parametrize(
     "v",
-    [[0.0, 0.0, 0.0], [math.inf, -math.inf, math.inf]],
-    ids=["zero", "infinite"],
+    [[0.0, 0.0, 0.0], [-0.0, 0.0, 0.0], [math.inf, -math.inf, math.inf], [math.inf, 0.0, 0.0]],
+    ids=["zero", "negative-zero", "infinite", "one-infinite"],
 )
 def test_from_vector_rejects_zero(v):
     with pytest.raises(ValueError):
