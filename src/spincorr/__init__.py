@@ -31,6 +31,7 @@ from .quantum import (
     channel_states,
     channel_weights,
     correlation_exact,
+    correlations_exact,
     decompose_eigenbasis,
     decompose_intermediate,
     joint_projection,
@@ -55,6 +56,7 @@ __all__ = [
     "channel_states",
     "channel_weights",
     "correlation_exact",
+    "correlations_exact",
     "decompose_eigenbasis",
     "decompose_intermediate",
     "estimate_correlation",

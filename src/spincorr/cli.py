@@ -27,6 +27,7 @@ from .quantum import (
     CHANNEL_OUTCOMES,
     BlochDirection,
     correlation_exact,
+    correlations_exact,
     decompose_eigenbasis,
     decompose_intermediate,
 )
@@ -205,7 +206,7 @@ def cmd_sweep(config: RunConfig) -> Report:
         exact = analytic = [single_electron_correlation(theta) for theta in config.grid]
         estimates = [-estimate for estimate in estimates]
     else:
-        exact = [correlation_exact(a, b) for a, b in settings]
+        exact = correlations_exact(settings)
         analytic = singlet_correlation_analytic(config.grid).tolist()
     rows = tuple(zip(config.grid, exact, analytic, estimates, std_errors))
     columns = ("theta_ab", "exact", "hv_analytic", "hv_sampled", "stderr")
@@ -237,7 +238,10 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--n", type=int, default=1_000_000, help="trials (default 1000000)")
         p.add_argument("--seed", type=int, default=0, help="RNG seed, 64-bit (default 0)")
-        p.add_argument("--workers", type=int, default=1, help="worker threads (default 1)")
+        p.add_argument(
+            "--workers", type=int, default=1,
+            help="at most this many worker threads (default 1); series under 8192 trials use one",
+        )
         p.add_argument("--out", help="write the document to this path instead of stdout")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
 

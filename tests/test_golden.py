@@ -7,10 +7,15 @@ and at two draws per trial.  To regenerate the files after a deliberate
 change to the output bytes (name that change in CHANGES.md):
 
     PYTHONPATH=src python tests/test_golden.py
+
+Documents too large to commit are pinned by their SHA-256 in ``DIGESTS``;
+the regeneration above prints each digest to paste there.
 """
 
 from __future__ import annotations
 
+import hashlib
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -54,6 +59,16 @@ for model in ("hv", "exact", "transfer"):
         "sample", "--theta-ab", "1.2", "--model", model, "--n", "1048581", "--seed", "3"
     )
 
+# The benchmark's sweep-fine-2w document (1801 rows, 238 kB): the exact column over the
+# fine grid, near 0 and pi, and 1801 short hv series.
+DIGESTS = {
+    "sweep-fine.json": (
+        ("sweep", "--grid", "0:180:0.1", "--deg", "--n", "2000", "--seed", "3", "--format", "json"),
+        "56f55b2b9137be880340dc544e4bc9d877fcb1f49184c68ec76be04feab32b1e",
+    ),
+}
+
+
 def _document(argv, workers: int, out: Path) -> bytes:
     assert main([*argv, "--workers", str(workers), "--out", str(out)]) == 0
     return out.read_bytes()
@@ -65,6 +80,13 @@ def test_document_matches_golden_file(name, workers, tmp_path):
     assert _document(CASES[name], workers, tmp_path / name) == (GOLDEN / name).read_bytes()
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("name", sorted(DIGESTS))
+def test_document_matches_golden_digest(name, workers, tmp_path):
+    argv, digest = DIGESTS[name]
+    assert hashlib.sha256(_document(argv, workers, tmp_path / name)).hexdigest() == digest
+
+
 def test_every_golden_file_has_a_case():
     assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(CASES)
 
@@ -73,3 +95,6 @@ if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name, argv in sorted(CASES.items()):
         _document(argv, 1, GOLDEN / name)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, (argv, _) in sorted(DIGESTS.items()):
+            print(f"{name}: {hashlib.sha256(_document(argv, 1, Path(tmp) / name)).hexdigest()}")

@@ -195,6 +195,44 @@ def test_one_pool_serves_every_job(monkeypatch):
     assert pools == ([threads, threads] if threads > 1 else [])
 
 
+@pytest.fixture
+def pools(monkeypatch):
+    """The max_workers of every thread pool the runner starts, in order."""
+    started = []
+
+    class Recorder(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(harness, "ThreadPoolExecutor", Recorder)
+    return started
+
+
+def test_sweep_of_short_series_runs_on_the_calling_thread(pools, tmp_path):
+    argv = ["sweep", "--grid", "0:180:5", "--deg", "--n", "2000", "--seed", "3"]
+    documents = []
+    for workers in (1, 2):
+        out = tmp_path / f"{workers}.csv"
+        assert main([*argv, "--workers", str(workers), "--out", str(out)]) == 0
+        documents.append(out.read_bytes())
+    assert pools == []
+    assert documents[0] == documents[1]
+
+
+@pytest.mark.parametrize("chunk", [harness.CHUNK_TRIALS, 64])
+def test_pool_starts_for_items_of_an_eighth_chunk_or_more(monkeypatch, pools, chunk):
+    monkeypatch.setattr(harness, "CHUNK_TRIALS", chunk)
+    pairs = _sweep_pairs(*(0.1 * k for k in range(30)))
+    below = harness.run_pairs(pairs, chunk // 8 - 1, "hv", seed=1, workers=2)
+    assert pools == []
+    at = harness.run_pairs(pairs, chunk // 8, "hv", seed=1, workers=2)
+    threads = min(2, os.cpu_count() or 1)
+    assert pools == ([threads] if threads > 1 else [])
+    assert at == harness.run_pairs(pairs, chunk // 8, "hv", seed=1, workers=1)
+    assert below == harness.run_pairs(pairs, chunk // 8 - 1, "hv", seed=1, workers=1)
+
+
 @pytest.mark.parametrize("draws", [1, 2])
 @pytest.mark.parametrize("workers", [1, 2])
 def test_runner_hands_each_kernel_its_stream_chunks_once(monkeypatch, workers, draws):

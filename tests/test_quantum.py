@@ -6,14 +6,19 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from spincorr import quantum
 from spincorr.quantum import (
     CHANNEL_EIGENVALUES,
     IDENTITY_2,
     CHANNEL_OUTCOMES,
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
     BlochDirection,
     channel_states,
     channel_weights,
     correlation_exact,
+    correlations_exact,
     decompose_eigenbasis,
     decompose_intermediate,
     joint_projection,
@@ -198,6 +203,76 @@ def test_correlation_is_minus_dot_product(a, b):
 
 def test_correlation_at_right_angle_vanishes():
     assert abs(correlation_exact(BlochDirection(0.0), BlochDirection(math.pi / 2))) < 1e-12
+
+
+def per_pair_correlation(a, b):
+    """The per-pair engine the stacked one replaced: a Pauli sum per axis, np.kron
+    of the two, and the singlet sandwich by np.vdot."""
+
+    def projection(n):
+        x, y, z = n.unit_vector
+        return x * PAULI_X + y * PAULI_Y + z * PAULI_Z
+
+    psi = singlet()
+    return float(np.vdot(psi, np.kron(projection(a), projection(b)) @ psi).real)
+
+
+def assert_same_bits(got, want):
+    assert np.array_equal(np.array(got).view(np.int64), np.array(want).view(np.int64))
+
+
+def sweep_grid_pairs():
+    """The pairs of ``sweep --grid 0:180:0.1 --deg``: (zenith 0, zenith theta)."""
+    conv = math.pi / 180.0
+    return [(BlochDirection(0.0), BlochDirection(min(0.1 * k, 180.0) * conv)) for k in range(1801)]
+
+
+def random_pairs(count, seed):
+    """Pairs with azimuths in (0, 2 pi) and zeniths spread over [0, pi], within
+    1e-12..1e-1 of 0, and within that of pi, a third each."""
+    rng = np.random.default_rng(seed)
+    near = 10.0 ** rng.uniform(-12.0, -1.0, (count, 2))
+    zenith = np.select(
+        [np.arange(count)[:, None] % 3 == k for k in range(3)],
+        [rng.uniform(0.0, math.pi, (count, 2)), near, math.pi - near],
+    )
+    azimuth = rng.uniform(1e-3, 2.0 * math.pi - 1e-3, (count, 2))
+    return [
+        (BlochDirection(ta, pa), BlochDirection(tb, pb))
+        for (ta, tb), (pa, pb) in zip(zenith.tolist(), azimuth.tolist())
+    ]
+
+
+@pytest.mark.parametrize(
+    "pairs", [sweep_grid_pairs(), random_pairs(3000, seed=16)], ids=["sweep-grid", "random"]
+)
+def test_stacked_correlations_equal_the_per_pair_engine_bit_for_bit(pairs):
+    assert_same_bits(correlations_exact(pairs), [per_pair_correlation(a, b) for a, b in pairs])
+
+
+def test_stacked_correlations_do_not_depend_on_the_block(monkeypatch):
+    pairs = random_pairs(100, seed=3)
+    whole = correlations_exact(pairs)
+    monkeypatch.setattr(quantum, "_PAIR_BLOCK", 7)
+    assert_same_bits(correlations_exact(iter(pairs)), whole)
+
+
+def test_no_pairs_give_no_correlations():
+    assert correlations_exact([]) == []
+    assert correlations_exact(iter(())) == []
+
+
+@given(directions, directions)
+def test_batch_of_one_is_correlation_exact(a, b):
+    (value,) = correlations_exact([(a, b)])
+    assert_same_bits(value, correlation_exact(a, b))
+    assert type(value) is float
+
+
+def test_joint_projection_is_the_kronecker_product():
+    for a, b in random_pairs(30, seed=5):
+        want = np.kron(spin_projection(a), spin_projection(b))
+        assert np.array_equal(joint_projection(a, b).view(np.int64), want.view(np.int64))
 
 
 def test_joint_projection_is_hermitian_involution():
