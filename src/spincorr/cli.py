@@ -31,7 +31,7 @@ from .quantum import (
     decompose_eigenbasis,
     decompose_intermediate,
 )
-from .streams import _U64_MAX
+from .streams import _check_int
 
 PAIR_LABELS = ("ab", "ab_prime", "a_prime_b", "a_prime_b_prime")
 
@@ -231,10 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p: argparse.ArgumentParser) -> None:
-        unit = p.add_mutually_exclusive_group()
-        unit.add_argument("--deg", action="store_true", help="interpret angles as degrees")
-        unit.add_argument(
-            "--rad", action="store_true", help="interpret angles as radians (default)"
+        p.add_argument(
+            "--deg", action="store_true", help="interpret angles as degrees (default: radians)"
         )
         p.add_argument("--n", type=int, default=1_000_000, help="trials (default 1000000)")
         p.add_argument("--seed", type=int, default=0, help="RNG seed, 64-bit (default 0)")
@@ -307,8 +305,7 @@ def _parse_grid(text: str, conv: float) -> tuple[float, ...]:
         start, stop, step = (float(part) for part in parts)
     except ValueError:
         raise ValueError(f"--grid expects numbers, got {text!r}") from None
-    _check_separation(start * conv)
-    _check_separation(stop * conv)
+    _check_separation([start * conv, stop * conv])
     if not 0.0 < step < math.inf or stop < start:
         raise ValueError("--grid needs a finite step > 0 and stop >= start")
     points = (stop - start) / step + 1e-9
@@ -319,11 +316,8 @@ def _parse_grid(text: str, conv: float) -> tuple[float, ...]:
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    for flag, value in (("--n", args.n), ("--workers", args.workers)):
-        if value < 1:
-            raise ValueError(f"{flag} must be at least 1")
-    if not 0 <= args.seed <= _U64_MAX:
-        raise ValueError(f"--seed must lie in [0, 2**64 - 1], got {args.seed}")
+    n, workers = _check_int("--n", args.n, 1, None), _check_int("--workers", args.workers, 1, None)
+    seed = _check_int("--seed", args.seed)
     unit = "deg" if args.deg else "rad"
     conv = math.pi / 180.0 if unit == "deg" else 1.0
 
@@ -355,12 +349,12 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     return RunConfig(
         command=args.command,
         unit=unit,
-        n=args.n,
-        seed=args.seed,
+        n=n,
+        seed=seed,
         model=getattr(args, "model", "exact"),
         out=args.out,
         format=args.format,
-        workers=args.workers,
+        workers=workers,
         settings=settings,
         r=r,
         grid=grid,

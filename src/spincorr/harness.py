@@ -31,7 +31,7 @@ import numpy as np
 
 from .hidden import _check_separation, sample_phi
 from .quantum import CHANNEL_EIGENVALUES, BlochDirection, channel_weights, correlations_exact
-from .streams import _is_int, substream
+from .streams import _check_int, substream
 
 CHSH_SIGNS = (1, -1, 1, 1)
 
@@ -54,10 +54,10 @@ class SettingSeries:
     counts: tuple[int, int, int, int]
 
     def __post_init__(self):
-        counts = tuple(self.counts)
-        if len(counts) != 4 or not all(_is_int(c) and c >= 0 for c in counts):
-            raise ValueError("counts must be four nonnegative tallies")
-        object.__setattr__(self, "counts", tuple(map(int, counts)))
+        counts = tuple(_check_int("each count", c, hi=None) for c in self.counts)
+        if len(counts) != 4:
+            raise ValueError(f"counts must be four tallies, got {len(counts)}")
+        object.__setattr__(self, "counts", counts)
 
     @property
     def total(self) -> int:
@@ -139,7 +139,7 @@ def _plus_thresholds(separations) -> list[float]:
     differ from ``math.acos``) of 1 - 2u, which is exact on the lattice.  At
     theta = pi the threshold is 1.0, so every draw is plus.
     """
-    theta = np.array([_check_separation(t) for t in separations], dtype=float)
+    theta = _check_separation(list(separations))
     below = np.full(theta.shape, -1, dtype=np.int64)
     above = np.full(theta.shape, 1 << 53, dtype=np.int64)
     while np.any(above - below > 1):
@@ -176,11 +176,12 @@ def _run(kernels, n: int, draws: int, seed: int, stream: int, workers: int) -> l
     workers is an upper bound: a single work item, or work items of fewer than
     CHUNK_TRIALS / 8 trials (a sweep's short series), run on the calling
     thread, where handing each item to a pool thread costs more than it saves.
+    The whole draw plan, up to the last kernel's stream, is checked before the
+    first draw; from there on every index is a Python int, so none can wrap.
     """
-    if not (_is_int(workers) and workers >= 1):
-        raise ValueError(f"workers must be an integer of at least 1, got {workers!r}")
-    if not (_is_int(n) and n >= 1):
-        raise ValueError(f"series length must be an integer of at least 1, got {n!r}")
+    n, workers = _check_int("n", n, 1, None), _check_int("workers", workers, 1, None)
+    seed, stream = _check_int("seed", seed), _check_int("stream", stream)
+    _check_int("last stream", stream + max(len(kernels), 1) - 1)
     chunks = -(-n // CHUNK_TRIALS)
 
     def work(first: int, step: int) -> list:

@@ -16,14 +16,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .streams import _is_int
+from .streams import _check_int
 
 
-def _check_separation(theta_ab: float) -> float:
-    theta_ab = float(theta_ab)
-    if not 0.0 <= theta_ab <= math.pi:
-        raise ValueError(f"separation angle must lie in [0, pi], got {theta_ab}")
-    return theta_ab
+def _check_separation(theta_ab):
+    """theta_ab as a float, or a float array, if every separation lies in [0, pi]."""
+    theta = np.asarray(theta_ab, dtype=float)
+    inside = (theta >= 0.0) & (theta <= math.pi)  # NaN is outside
+    if not np.all(inside):
+        raise ValueError(f"separation angle must lie in [0, pi], got {theta[~inside][0]}")
+    return float(theta) if theta.ndim == 0 else theta
 
 
 @dataclass(frozen=True)
@@ -79,10 +81,7 @@ def singlet_correlation_analytic(theta_ab):
     Equals the plus-region measure minus the minus-region measure.  Accepts
     a scalar or an array of separations, all required to lie in [0, pi].
     """
-    theta_ab = np.asarray(theta_ab, dtype=float)
-    if not np.all((theta_ab >= 0.0) & (theta_ab <= math.pi)):  # NaN fails too
-        raise ValueError("separation angle must lie in [0, pi]")
-    out = -np.cos(theta_ab)
+    out = -np.cos(_check_separation(theta_ab))
     return float(out) if out.ndim == 0 else out
 
 
@@ -115,9 +114,7 @@ def sample_singlet_batch(theta_ab: float, count: int, rng: np.random.Generator) 
     this ``np.arccos`` transform.
     """
     theta_ab = _check_separation(theta_ab)
-    if not (_is_int(count) and count >= 1):
-        raise ValueError(f"count must be an integer of at least 1, got {count!r}")
-    u = rng.random((count, 2))
+    u = rng.random((_check_int("count", count, 1, None), 2))
     alpha = np.where(u[:, 0] < 0.5, 1, -1)
     phi = sample_phi(u[:, 1])
     a_product = np.where(phi < theta_ab, 1, -1)

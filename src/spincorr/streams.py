@@ -24,20 +24,26 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _check_int(name: str, value, lo: int = 0, hi: int | None = _U64_MAX) -> int:
+    """value as a Python int, if it is an integer in [lo, hi] (unbounded above if hi is None):
+    the one statement of every integer input rule; seeds and streams take the default range."""
+    if _is_int(value) and lo <= int(value) and (hi is None or int(value) <= hi):
+        return int(value)
+    bound = f"of at least {lo}" if hi is None else f"in [{lo}, {hi}]"
+    raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
+
+
 def substream(seed: int, stream: int = 0, draw_offset: int = 0) -> np.random.Generator:
     """Uniform generator for the ``(seed, stream)`` key, positioned at ``draw_offset``.
 
     ``draw_offset`` counts float64 draws already consumed and must be a
     multiple of :data:`BLOCK_DRAWS`.
     """
-    for name, value in (("seed", seed), ("stream", stream)):
-        if not (_is_int(value) and 0 <= value <= _U64_MAX):
-            raise ValueError(f"{name} must fit in an unsigned 64-bit integer, got {value}")
-    if not (_is_int(draw_offset) and draw_offset >= 0 and draw_offset % BLOCK_DRAWS == 0):
-        raise ValueError(
-            f"draw_offset must be a nonnegative integer multiple of {BLOCK_DRAWS}, got {draw_offset!r}"
-        )
-    bits = np.random.Philox(key=np.array([seed, stream], dtype=np.uint64))
+    key = np.array([_check_int("seed", seed), _check_int("stream", stream)], dtype=np.uint64)
+    draw_offset = _check_int("draw_offset", draw_offset, hi=None)
+    if draw_offset % BLOCK_DRAWS:
+        raise ValueError(f"draw_offset must be a multiple of {BLOCK_DRAWS}, got {draw_offset}")
+    bits = np.random.Philox(key=key)
     if draw_offset:
         bits.advance(draw_offset // BLOCK_DRAWS)
     return np.random.Generator(bits)

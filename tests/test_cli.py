@@ -336,6 +336,9 @@ SETTINGS = ("--a-prime", "90,0", "--b", "45,0", "--b-prime", "135,0", "--deg")
         ("weights", "--theta-ab", "1", "--seed", "18446744073709551616"),
         ("chsh", "--a", "0,0", "--b", "45,0", "--n", "10"),
         ("sweep", "--grid", "0:1:\n0.5", "--n", "10"),
+        ("sample", "--a", "x,0", "--b", "0,0"),
+        ("sample", "--a", "1", "--b", "0,0"),
+        ("sweep", "--grid", "a:b:c"),
     ],
 )
 def test_bad_input_is_a_usage_error(capsys, args):

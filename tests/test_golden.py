@@ -58,6 +58,10 @@ for model in ("hv", "exact", "transfer"):
     CASES[f"sample-{model}-1048581.csv"] = (
         "sample", "--theta-ab", "1.2", "--model", model, "--n", "1048581", "--seed", "3"
     )
+# The benchmark's chsh runs: 153 chunks per stream, two threads at --workers 2, and
+# (under transfer) 393 trials on the float64 fallback of the hemisphere signs.
+for model in ("hv", "transfer"):
+    CASES[f"chsh-{model}-10000000.csv"] = ("chsh", "--model", model, "--n", "10000000", "--seed", "3")
 
 # The benchmark's sweep-fine-2w document (1801 rows, 238 kB): the exact column over the
 # fine grid, near 0 and pi, and 1801 short hv series.

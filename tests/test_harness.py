@@ -287,6 +287,31 @@ def test_runner_rejects_nonpositive_workers(name, bad):
         run_series(Z, Z, **kwargs)
 
 
+@pytest.mark.parametrize("model", ["hv", "quantum-sampler"])
+@pytest.mark.parametrize(
+    "stream,pairs", [(np.uint64(2**64 - 1), 2), (2**64 - 2, 4)], ids=["uint64", "int"]
+)
+def test_stream_range_past_u64_is_rejected_before_the_first_draw(monkeypatch, model, stream, pairs):
+    # pair k draws on stream + k, so the last pair's stream must fit too, or a
+    # NumPy stream wraps round to stream 0 and a Python one fails mid-run
+    settings = _sweep_pairs(*(0.5 * k for k in range(pairs)))
+    # transfer scores every pair on the base stream, which fits
+    assert harness.run_pairs(settings, 10, "transfer-baseline", seed=1, stream=stream)
+    calls = []
+    monkeypatch.setattr(harness, "substream", lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(ValueError, match="last stream"):
+        harness.run_pairs(settings, 100, model, seed=1, stream=stream)
+    assert calls == []
+
+
+@pytest.mark.parametrize("model", harness.SAMPLED_MODELS)
+def test_numpy_integer_length_gives_the_python_int_counts(monkeypatch, model):
+    monkeypatch.setattr(harness, "CHUNK_TRIALS", 64)
+    pairs = _sweep_pairs(0.4, 2.0)
+    want = harness.run_pairs(pairs, 201, model, seed=4)
+    assert harness.run_pairs(pairs, np.int64(201), model, seed=np.uint64(4)) == want
+
+
 def test_hv_sweep_rejects_a_separation_out_of_range():
     with pytest.raises(ValueError):
         harness._plus_thresholds([4.0])

@@ -10,6 +10,8 @@ def test_same_key_reproduces():
     assert np.array_equal(first, second)
     # NumPy integers are key parts too
     assert np.array_equal(first, substream(np.uint64(7), np.int64(3)).random(16))
+    # and offsets, though Philox.advance takes only Python ints
+    assert np.array_equal(first[8:], substream(7, 3, draw_offset=np.int64(8)).random(8))
 
 
 def test_distinct_streams_differ():
