@@ -37,11 +37,6 @@ PAIR_LABELS = ("ab", "ab_prime", "a_prime_b", "a_prime_b_prime")
 
 MAX_GRID_POINTS = 1_000_000
 
-# --model choice -> harness model.  The document's model tag is that name, except that
-# chsh appends -per-setting for models that draw fresh trials for each pair.
-SAMPLE_MODELS = {"exact": "quantum-sampler", "hv": "hv", "transfer": "transfer-baseline"}
-CHSH_MODELS = {"exact": "quantum-exact", "hv": "hv", "transfer": "transfer-baseline"}
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -51,7 +46,7 @@ class RunConfig:
     unit: str
     n: int
     seed: int
-    model: str
+    model: str  # the harness's name: hv, quantum-sampler, quantum-exact or transfer-baseline
     out: str | None
     format: str
     workers: int
@@ -132,7 +127,7 @@ def cmd_exact(config: RunConfig) -> Report:
     """Closed-form correlation plus the channel tables for one setting pair."""
     a, b = config.settings
     record = _pair_fields(a, b, config.r, correlation=correlation_exact(a, b))
-    meta = _base_metadata(config, "quantum-exact", **record)
+    meta = _base_metadata(config, config.model, **record)
 
     rows = []
     for term in decompose_eigenbasis(a, b).channels:
@@ -154,12 +149,11 @@ def cmd_weights(config: RunConfig) -> Report:
 def cmd_sample(config: RunConfig) -> Report:
     """One coincidence series at a single setting pair."""
     a, b = config.settings
-    model = SAMPLE_MODELS[config.model]
-    series = run_series(a, b, config.n, model, config.seed, workers=config.workers)
+    series = run_series(a, b, config.n, config.model, config.seed, workers=config.workers)
     estimate, std_error = estimate_correlation(series)
 
     record = _pair_fields(a, b, estimate=estimate, std_error=std_error)
-    meta = _base_metadata(config, model, **record)
+    meta = _base_metadata(config, config.model, **record)
     rows = tuple(
         (k + 1, alpha, beta, count, count / series.total)
         for k, ((alpha, beta), count) in enumerate(zip(CHANNEL_OUTCOMES, series.counts))
@@ -171,8 +165,7 @@ def cmd_sample(config: RunConfig) -> Report:
 def cmd_chsh(config: RunConfig) -> Report:
     """Four-setting CHSH run for the chosen model: one pair record per row."""
     a, a_prime, b, b_prime = config.settings
-    model = CHSH_MODELS[config.model]
-    report = run_chsh(a, a_prime, b, b_prime, config.n, model, config.seed, workers=config.workers)
+    report = run_chsh(*config.settings, config.n, config.model, config.seed, workers=config.workers)
 
     meta = _base_metadata(
         config,
@@ -196,10 +189,10 @@ def cmd_sweep(config: RunConfig) -> Report:
     """Correlation curves over a separation grid, built column by column: exact,
     analytic, and sampled on coplanar pairs (0, theta)."""
     mode = "single-electron" if config.single_electron else "singlet"
-    meta = _base_metadata(config, "hv", mode=mode, grid=config.grid_text)
+    meta = _base_metadata(config, config.model, mode=mode, grid=config.grid_text)
 
     settings = [(BlochDirection(0.0), BlochDirection(theta)) for theta in config.grid]
-    sampled = run_pairs(settings, config.n, "hv", config.seed, workers=config.workers)
+    sampled = run_pairs(settings, config.n, config.model, config.seed, workers=config.workers)
     estimates, std_errors = zip(*map(estimate_correlation, sampled))
     if config.single_electron:
         # Flipped region signs give +cos(theta) and negate the sampled estimate.
@@ -260,8 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample = sub.add_parser("sample", help="run one coincidence series")
     add_pair(p_sample)
     p_sample.add_argument(
-        "--model", choices=SAMPLE_MODELS, default="hv",
-        help="exact: sample quantum channel weights; hv: hidden-variable model; "
+        "--model", choices=("hv", "quantum-sampler", "transfer"), default="hv",
+        help="hv: hidden-variable model; quantum-sampler: sample quantum channel weights; "
         "transfer: hemisphere-sign baseline",
     )
     add_common(p_sample)
@@ -270,8 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
     for flag in ("--a", "--a-prime", "--b", "--b-prime"):
         p_chsh.add_argument(flag, help=f"setting {flag[2:]} as zenith,azimuth")
     p_chsh.add_argument(
-        "--model", choices=CHSH_MODELS, default="hv",
-        help="exact: closed-form correlations; hv: per-setting hidden-variable series; "
+        "--model", choices=("hv", "quantum-exact", "transfer"), default="hv",
+        help="hv: per-setting hidden-variable series; quantum-exact: closed-form correlations; "
         "transfer: shared-outcome baseline",
     )
     add_common(p_chsh)
@@ -319,6 +312,9 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     n, workers = _check_int("--n", args.n, 1, None), _check_int("--workers", args.workers, 1, None)
     seed = _check_int("--seed", args.seed)
     unit = "deg" if args.deg else "rad"
+    # --model takes the harness's names, except transfer for transfer-baseline, which
+    # bench/run.py passes.  exact and weights evaluate the closed form; sweep samples hv.
+    model = getattr(args, "model", "hv" if args.command == "sweep" else "quantum-exact")
     conv = math.pi / 180.0 if unit == "deg" else 1.0
 
     def direction(flag: str) -> BlochDirection | None:
@@ -351,7 +347,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         unit=unit,
         n=n,
         seed=seed,
-        model=getattr(args, "model", "exact"),
+        model="transfer-baseline" if model == "transfer" else model,
         out=args.out,
         format=args.format,
         workers=workers,

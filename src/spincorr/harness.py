@@ -100,7 +100,16 @@ class ChshReport:
 
     @property
     def s_std_error(self) -> float:
-        return math.sqrt(sum(p.std_error**2 for p in self.pairs))
+        """The standard error of S.  Pairs tagged per-setting, or without series,
+        are independent, so their variances add.  Pairs that share every trial give
+        each trial a CHSH combination of +-2, so the error is sqrt(4 - S^2) / sqrt(N),
+        taken from the integer T = N S of their counts: exactly 0 when |T| = 2N."""
+        if self.model.endswith("-per-setting") or self.pairs[0].series is None:
+            return math.sqrt(sum(p.std_error**2 for p in self.pairs))
+        n = self.pairs[0].series.total
+        t = sum(s * e * c for s, p in zip(CHSH_SIGNS, self.pairs)
+                for e, c in zip(CHANNEL_EIGENVALUES, p.series.counts))
+        return math.sqrt(max(0, 4 * n * n - t * t)) / n**1.5
 
 
 def canonical_settings() -> tuple[BlochDirection, BlochDirection, BlochDirection, BlochDirection]:
@@ -286,16 +295,18 @@ def run_chsh(
     the stream matching its position, so the four series are unchanged
     under reordering or re-running; they share the runner's workers.  Under
     "transfer-baseline" the four pairs share every trial.  Model
-    "quantum-exact" skips sampling and reports the closed-form correlation
-    with zero error.
+    "quantum-exact" checks n_per_pair, seed and workers as the sampled models
+    do, then reports the closed-form correlation with zero error.
     """
     settings = ((a, b), (a, b_prime), (a_prime, b), (a_prime, b_prime))
     if model == "quantum-exact":
+        _run([], n_per_pair, 0, seed, 0, workers)  # no kernel: the runner's input rules, no draw
         values = correlations_exact(settings)
         exact = [PairResult(x, y, value, 0.0) for (x, y), value in zip(settings, values)]
         return ChshReport(pairs=tuple(exact), model=model)
     series = run_pairs(settings, n_per_pair, model, seed, workers=workers)
     pairs = [PairResult(s.a, s.b, *estimate_correlation(s), series=s) for s in series]
+    # The one statement of which pairs share trials; ChshReport.s_std_error reads the tag.
     tag = model if model == "transfer-baseline" else f"{model}-per-setting"
     return ChshReport(pairs=tuple(pairs), model=tag)
 

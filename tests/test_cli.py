@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import subprocess
@@ -6,7 +7,7 @@ import sys
 import pytest
 
 from spincorr import harness
-from spincorr.cli import main
+from spincorr.cli import build_parser, config_from_args, main
 from spincorr.harness import estimate_correlation, run_series
 from spincorr.hidden import singlet_correlation_analytic
 from spincorr.quantum import BlochDirection
@@ -107,7 +108,8 @@ def test_sample_counts_sum_to_n(capsys):
 
 
 @pytest.mark.parametrize(
-    "model,tag", [("exact", "quantum-sampler"), ("hv", "hv"), ("transfer", "transfer-baseline")]
+    "model,tag",
+    [("quantum-sampler", "quantum-sampler"), ("hv", "hv"), ("transfer", "transfer-baseline")],
 )
 def test_sample_model_variants(capsys, model, tag):
     code, out, _ = run_cli(
@@ -145,7 +147,7 @@ def test_chsh_defaults_report_canonical_angles(capsys):
 
 
 def test_chsh_exact_model_json(capsys):
-    code, out, _ = run_cli(capsys, "chsh", "--model", "exact", "--format", "json")
+    code, out, _ = run_cli(capsys, "chsh", "--model", "quantum-exact", "--format", "json")
     assert code == 0
     doc = json.loads(out)
     assert doc["metadata"]["s_value"] == pytest.approx(-2.0 * math.sqrt(2.0), abs=1e-12)
@@ -155,7 +157,7 @@ def test_chsh_exact_model_json(capsys):
 
 def test_chsh_rows_and_exact_metadata_share_the_pair_record(capsys):
     given = dict(zip(GOLDEN_SETTINGS[0:8:2], GOLDEN_SETTINGS[1:8:2]))
-    code, out, _ = run_cli(capsys, "chsh", *GOLDEN_SETTINGS, "--model", "exact")
+    code, out, _ = run_cli(capsys, "chsh", *GOLDEN_SETTINGS, "--model", "quantum-exact")
     assert code == 0
     _, columns, rows = parse_csv(out)
     sides = {"ab": ("--a", "--b"), "ab_prime": ("--a", "--b-prime"),
@@ -179,12 +181,54 @@ def test_chsh_transfer_model(capsys):
 
 
 @pytest.mark.parametrize(
-    "model,tag", [("hv", "hv-per-setting"), ("exact", "quantum-exact"), ("transfer", "transfer-baseline")]
+    "model,tag",
+    [("hv", "hv-per-setting"), ("quantum-exact", "quantum-exact"), ("transfer", "transfer-baseline")],
 )
 def test_chsh_model_tags(capsys, model, tag):
     code, out, _ = run_cli(capsys, "chsh", "--model", model, "--n", "1000", "--seed", "3")
     assert code == 0
     assert parse_csv(out)[0]["model"] == tag
+
+
+@pytest.mark.parametrize("command", ["sample", "chsh"])
+def test_old_exact_model_word_exits_two(capsys, command):
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "--model", "exact"])
+    assert excinfo.value.code == 2
+    assert "invalid choice: 'exact'" in capsys.readouterr().err
+
+
+def test_model_choices_are_the_harness_names():
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    choices = {
+        name: [a.choices for a in p._actions if a.dest == "model"]
+        for name, p in commands.choices.items()
+    }
+    assert choices == {
+        "exact": [],
+        "weights": [],
+        "sample": [("hv", "quantum-sampler", "transfer")],
+        "chsh": [("hv", "quantum-exact", "transfer")],
+        "sweep": [],
+    }
+
+
+@pytest.mark.parametrize(
+    "argv,model",
+    [
+        (("exact", "--theta-ab", "1"), "quantum-exact"),
+        (("weights", "--theta-ab", "1"), "quantum-exact"),
+        (("sample", "--theta-ab", "1"), "hv"),
+        (("sample", "--theta-ab", "1", "--model", "quantum-sampler"), "quantum-sampler"),
+        (("sample", "--theta-ab", "1", "--model", "transfer"), "transfer-baseline"),
+        (("chsh",), "hv"),
+        (("chsh", "--model", "quantum-exact"), "quantum-exact"),
+        (("chsh", "--model", "transfer"), "transfer-baseline"),
+        (("sweep", "--grid", "0:1:1"), "hv"),
+    ],
+)
+def test_run_config_carries_the_harness_model_name(argv, model):
+    assert config_from_args(build_parser().parse_args(argv)).model == model
 
 
 def test_chsh_explicit_settings_must_be_complete(capsys):
@@ -332,7 +376,7 @@ SETTINGS = ("--a-prime", "90,0", "--b", "45,0", "--b-prime", "135,0", "--deg")
         ("sweep", "--grid", "0:1:nan", "--n", "10"),
         ("sweep", "--grid", "0:180:1e-300", "--deg", "--n", "10"),
         ("exact", "--theta-ab", "1", "--seed", "-5"),
-        ("chsh", "--model", "exact", "--seed", "-5"),
+        ("chsh", "--model", "quantum-exact", "--seed", "-5"),
         ("weights", "--theta-ab", "1", "--seed", "18446744073709551616"),
         ("chsh", "--a", "0,0", "--b", "45,0", "--n", "10"),
         ("sweep", "--grid", "0:1:\n0.5", "--n", "10"),

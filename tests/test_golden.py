@@ -36,11 +36,11 @@ _CASES = {
     "weights-theta": ("weights", "--theta-ab", "1.1"),
     "weights-pair": ("weights", *PAIR),
     "sample-hv": ("sample", "--theta-ab", "1.0", *SMALL),
-    "sample-exact": ("sample", *PAIR, "--model", "exact", *SMALL),
+    "sample-exact": ("sample", *PAIR, "--model", "quantum-sampler", *SMALL),
     "sample-transfer": ("sample", *PAIR, "--model", "transfer", *SMALL),
     "chsh-hv": ("chsh", *CHSH),
     "chsh-hv-settings": ("chsh", *SETTINGS, *CHSH),
-    "chsh-exact": ("chsh", *SETTINGS, "--model", "exact"),
+    "chsh-exact": ("chsh", *SETTINGS, "--model", "quantum-exact"),
     "chsh-transfer": ("chsh", "--model", "transfer", *CHSH),
     "chsh-transfer-settings": ("chsh", *SETTINGS, "--model", "transfer", *CHSH),
     "sweep-singlet": ("sweep", "--grid", "0:180:15", "--deg", *SWEEP),
@@ -53,9 +53,10 @@ _CASES = {
 CASES = {
     f"{name}.{fmt}": (*argv, "--format", fmt) for name, argv in _CASES.items() for fmt in ("csv", "json")
 }
-# 2**20 + 5 trials: past sixteen fixed-size chunks at one (exact) and two (hv, transfer) draws per trial
-for model in ("hv", "exact", "transfer"):
-    CASES[f"sample-{model}-1048581.csv"] = (
+# 2**20 + 5 trials: past sixteen fixed-size chunks at one (quantum-sampler) and two (hv, transfer)
+# draws per trial
+for name, model in (("hv", "hv"), ("exact", "quantum-sampler"), ("transfer", "transfer")):
+    CASES[f"sample-{name}-1048581.csv"] = (
         "sample", "--theta-ab", "1.2", "--model", model, "--n", "1048581", "--seed", "3"
     )
 # The benchmark's chsh runs: 153 chunks per stream, two threads at --workers 2, and

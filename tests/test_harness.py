@@ -418,6 +418,28 @@ def test_all_equal_settings_give_s_of_minus_two():
     assert report.s_value == pytest.approx(-2.0, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "n,seed,workers", [(0, -5, 0), (0, 0, 1), (-1, 0, 1), (1, -5, 1), (1, 2**64, 1), (1, 0, 0)]
+)
+def test_quantum_exact_chsh_checks_the_sampled_models_input_rules(n, seed, workers):
+    with pytest.raises(ValueError):
+        run_chsh(*canonical_settings(), n, "quantum-exact", seed, workers=workers)
+    with pytest.raises(ValueError):
+        run_chsh(*canonical_settings(), n, "hv", seed, workers=workers)
+
+
+def test_canonical_transfer_chsh_has_zero_s_error():
+    # every trial's CHSH combination is -2 at the canonical settings
+    report = run_chsh(*canonical_settings(), 20_001, "transfer-baseline", seed=11)
+    assert report.s_value == pytest.approx(-2.0, abs=1e-12)
+    assert report.s_std_error == 0.0
+    # off the plane some trials give +2: the golden file's settings, in radians
+    off_plane = [BlochDirection(*np.radians(d)) for d in ((0, 0), (90, 0), (45, 30), (135, 60))]
+    other = run_chsh(*off_plane, 20_001, "transfer-baseline", 11)
+    assert other.s_std_error == pytest.approx(math.sqrt((4.0 - other.s_value**2) / 20_001), rel=1e-9)
+    assert other.s_std_error > 0.0
+
+
 def test_hv_chsh_lands_near_the_quantum_value():
     report = run_chsh(*canonical_settings(), 100_000, "hv", seed=3)
     assert abs(report.s_value + 2.0 * math.sqrt(2.0)) < 5.0 * report.s_std_error
