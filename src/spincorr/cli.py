@@ -167,9 +167,12 @@ def cmd_chsh(config: RunConfig) -> Report:
     a, a_prime, b, b_prime = config.settings
     report = run_chsh(*config.settings, config.n, config.model, config.seed, workers=config.workers)
 
+    # Models whose pairs draw fresh trials are tagged <model>-per-setting, which
+    # bench/checks.py expects of hv; ROADMAP item 6's benchmark change drops the suffix.
+    fresh = report.model not in ("quantum-exact", "transfer-baseline")
     meta = _base_metadata(
         config,
-        report.model,
+        f"{report.model}-per-setting" if fresh else report.model,
         **_axis_fields(a=a, a_prime=a_prime, b=b, b_prime=b_prime),
         s_value=report.s_value,
         s_std_error=report.s_std_error,
@@ -312,8 +315,9 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     n, workers = _check_int("--n", args.n, 1, None), _check_int("--workers", args.workers, 1, None)
     seed = _check_int("--seed", args.seed)
     unit = "deg" if args.deg else "rad"
-    # --model takes the harness's names, except transfer for transfer-baseline, which
-    # bench/run.py passes.  exact and weights evaluate the closed form; sweep samples hv.
+    # --model takes the harness's names; transfer, for transfer-baseline, stays for
+    # bench/run.py, as cmd_chsh's -per-setting tag does (ROADMAP item 6).  exact and
+    # weights evaluate the closed form; sweep samples hv.
     model = getattr(args, "model", "hv" if args.command == "sweep" else "quantum-exact")
     conv = math.pi / 180.0 if unit == "deg" else 1.0
 

@@ -33,6 +33,12 @@ from .hidden import _check_separation, sample_phi
 from .quantum import CHANNEL_EIGENVALUES, BlochDirection, channel_weights, correlations_exact
 from .streams import _check_int, substream
 
+__all__ = [
+    "CHSH_SIGNS", "ChshReport", "PairResult", "SettingSeries", "canonical_settings",
+    "estimate_correlation", "run_chsh", "run_pairs", "run_series", "run_transfer_baseline",
+    "transfer_correlation_analytic",
+]
+
 CHSH_SIGNS = (1, -1, 1, 1)
 
 # Only the transfer baseline shares each trial across setting pairs.
@@ -100,11 +106,12 @@ class ChshReport:
 
     @property
     def s_std_error(self) -> float:
-        """The standard error of S.  Pairs tagged per-setting, or without series,
-        are independent, so their variances add.  Pairs that share every trial give
-        each trial a CHSH combination of +-2, so the error is sqrt(4 - S^2) / sqrt(N),
-        taken from the integer T = N S of their counts: exactly 0 when |T| = 2N."""
-        if self.model.endswith("-per-setting") or self.pairs[0].series is None:
+        """The standard error of S.  Pairs on fresh trials, or without series, are
+        independent, so their variances add.  Under "transfer-baseline" with series,
+        the pairs share every trial and give each a CHSH combination of +-2, so the
+        error is sqrt(4 - S^2) / sqrt(N), taken from the integer T = N S of their
+        counts: exactly 0 when |T| = 2N."""
+        if self.model != "transfer-baseline" or self.pairs[0].series is None:
             return math.sqrt(sum(p.std_error**2 for p in self.pairs))
         n = self.pairs[0].series.total
         t = sum(s * e * c for s, p in zip(CHSH_SIGNS, self.pairs)
@@ -302,13 +309,11 @@ def run_chsh(
     if model == "quantum-exact":
         _run([], n_per_pair, 0, seed, 0, workers)  # no kernel: the runner's input rules, no draw
         values = correlations_exact(settings)
-        exact = [PairResult(x, y, value, 0.0) for (x, y), value in zip(settings, values)]
-        return ChshReport(pairs=tuple(exact), model=model)
-    series = run_pairs(settings, n_per_pair, model, seed, workers=workers)
-    pairs = [PairResult(s.a, s.b, *estimate_correlation(s), series=s) for s in series]
-    # The one statement of which pairs share trials; ChshReport.s_std_error reads the tag.
-    tag = model if model == "transfer-baseline" else f"{model}-per-setting"
-    return ChshReport(pairs=tuple(pairs), model=tag)
+        pairs = [PairResult(x, y, value, 0.0) for (x, y), value in zip(settings, values)]
+    else:
+        series = run_pairs(settings, n_per_pair, model, seed, workers=workers)
+        pairs = [PairResult(s.a, s.b, *estimate_correlation(s), series=s) for s in series]
+    return ChshReport(pairs=tuple(pairs), model=model)
 
 
 # Trials per block of the hemisphere signs: the block's temporaries stay in cache and

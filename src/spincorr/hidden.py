@@ -18,6 +18,11 @@ import numpy as np
 
 from .streams import _check_int
 
+__all__ = [
+    "HIDDEN_ANGLE", "partition_measures", "sample_phi", "sample_singlet_batch",
+    "single_electron_correlation", "singlet_correlation_analytic",
+]
+
 
 def _check_separation(theta_ab):
     """theta_ab as a float, or a float array, if every separation lies in [0, pi]."""

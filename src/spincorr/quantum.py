@@ -25,6 +25,13 @@ from typing import Literal
 
 import numpy as np
 
+__all__ = [
+    "CHANNEL_EIGENVALUES", "CHANNEL_OUTCOMES", "BlochDirection", "channel_states",
+    "channel_weights", "correlation_exact", "correlations_exact", "decompose_eigenbasis",
+    "decompose_intermediate", "joint_projection", "product_states", "singlet",
+    "spin_eigenbasis", "spin_projection",
+]
+
 _TAU = 2.0 * math.pi
 
 

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
+__all__ = ["substream"]
+
 # Philox emits 64-bit words in blocks of four; one block feeds four float64
 # uniforms, so counter jumps are only exact at multiples of four draws.
 BLOCK_DRAWS = 4

@@ -400,6 +400,12 @@ def test_report_combines_estimates_with_fixed_signs():
     assert report.s_std_error == pytest.approx(0.02, abs=1e-15)
 
 
+def test_transfer_report_without_series_adds_pair_variances():
+    pairs = tuple(PairResult(Z, Z, estimate=-0.5, std_error=0.01) for _ in range(4))
+    report = ChshReport(pairs=pairs, model="transfer-baseline")
+    assert report.s_std_error == pytest.approx(0.02, abs=1e-15)
+
+
 @pytest.mark.parametrize("count", [1, 3, 5, 6])
 def test_report_needs_exactly_four_pairs(count):
     pairs = tuple(PairResult(Z, Z, estimate=0.5, std_error=0.01) for _ in range(count))
@@ -449,13 +455,14 @@ def test_hv_chsh_lands_near_the_quantum_value():
 @pytest.mark.parametrize(
     "model,tag",
     [
-        ("hv", "hv-per-setting"),
-        ("quantum-sampler", "quantum-sampler-per-setting"),
+        ("hv", "hv"),
+        ("quantum-sampler", "quantum-sampler"),
         ("quantum-exact", "quantum-exact"),
         ("transfer-baseline", "transfer-baseline"),
     ],
 )
 def test_chsh_report_model_tag(model, tag):
+    # the harness's name under every model; only the chsh document adds -per-setting
     assert run_chsh(*canonical_settings(), 100, model, seed=1).model == tag
 
 
